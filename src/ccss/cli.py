@@ -30,7 +30,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.scenario, encoding="utf-8") as handle:
             scenario = sim.parse_scenario(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
     except sim.ScenarioError as exc:
@@ -46,9 +46,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     text = sim.render_report(report)
     print(text, end="")
     if args.report:
-        path = _resolve_output_path(args.report)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            path = _resolve_output_path(args.report)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
 
     failed = [c for c in report.checks if not c.passed]
     for check in failed:
@@ -94,6 +98,9 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.peers < 2:
         print("--peers must be at least 2", file=sys.stderr)
+        return 2
+    if args.universe < 1:
+        print("--universe must be at least 1", file=sys.stderr)
         return 2
     failures = 0
     for seed in range(1, args.seeds + 1):

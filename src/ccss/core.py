@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import AbstractSet, Hashable, Iterable, Sequence
 
 Element = Hashable
 ElementSet = frozenset
@@ -106,9 +106,8 @@ class Triple:
 # Validity and application
 
 
-def is_valid(members: Iterable[Element], op: Op) -> bool:
+def is_valid(members: AbstractSet[Element], op: Op) -> bool:
     """True when `op` applied to `members` would be effectful (or is Nop)."""
-    members = frozenset(members)
     if op.kind is OpKind.NOP:
         return True
     if op.kind is OpKind.INSERT:
@@ -130,23 +129,22 @@ def apply_op(members: Iterable[Element], op: Op) -> ElementSet:
     return members - {op.element}
 
 
-def make_insert(members: Iterable[Element], x: Element) -> Op:
+def make_insert(members: AbstractSet[Element], x: Element) -> Op:
     """Insert intent filtered by the current set: Nop when already present."""
-    return Op.insert(x) if x not in frozenset(members) else NOP
+    return Op.insert(x) if x not in members else NOP
 
 
-def make_delete(members: Iterable[Element], x: Element) -> Op:
+def make_delete(members: AbstractSet[Element], x: Element) -> Op:
     """Delete intent filtered by the current set: Nop when absent."""
-    return Op.delete(x) if x in frozenset(members) else NOP
+    return Op.delete(x) if x in members else NOP
 
 
 def validate_seq(members: Iterable[Element], seq: Sequence[Op]) -> bool:
     """True when every op in `seq` is effectful against the running state."""
-    current = frozenset(members)
-    for op in seq:
-        if not is_valid(current, op):
-            return False
-        current = apply_op(current, op)
+    try:
+        apply_seq(members, seq)
+    except (InvalidInsert, InvalidDelete):
+        return False
     return True
 
 

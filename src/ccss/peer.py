@@ -16,6 +16,11 @@ receiver, so the receiver cannot hold half of the pair), or it duplicates
 an operation the receiver already holds.  The receiver may therefore treat
 everything under the ack map as delivered, which is what lets mutually
 canceling pairs vanish from the wire without stalling pruning.
+
+Precondition: the links between peers form a forest.  A peer that strikes
+out a concurrent duplicate intent acknowledges both tags onward, so on a
+cycle a peer reached by a second path takes the struck tag as news on top of
+its own copy and fails with InvalidInsert or InvalidDelete.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .core import (
     CcssError,
     Element,
     Op,
-    OpKind,
     OpSeq,
     make_delete,
     make_insert,
@@ -97,15 +101,10 @@ class TaggedOp:
 
 @dataclass(frozen=True)
 class SyncMessage:
-    """One sync payload.  Treat as immutable once constructed.
-
-    base_watermark declares the sender's revision at prepare time, so the
-    receiver observes progress even when the payload normalizes to nothing.
-    """
+    """One sync payload.  Treat as immutable once constructed."""
 
     sender: PeerId
     receiver: PeerId
-    base_watermark: int
     payload: tuple[TaggedOp, ...]
     ack: dict[PeerId, int]
 
@@ -225,7 +224,6 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     return SyncMessage(
         sender=peer.id,
         receiver=neighbor,
-        base_watermark=peer.rev,
         payload=tuple(TaggedOp(e.op, e.origin, e.origin_seq) for e in picked),
         ack=dict(peer.applied_seqs),
     )
@@ -319,23 +317,16 @@ def prune_log(peer: PeerState) -> int:
     """Drop log entries every neighbor has acknowledged; returns the count.
 
     An entry is prunable when its local_rev is at or below every neighbor's
-    sent_watermark and its (origin, origin_seq) is covered by every
-    neighbor's received_watermark.  A peer with no neighbors answers to
-    nobody and prunes everything.
+    sent_watermark.  Such an entry is also under every neighbor's
+    received_watermark, which absorbed the ack map each sent_watermark was
+    raised from.  A peer with no neighbors answers to nobody and prunes
+    everything.
     """
     if not peer.log:
         return 0
     if peer.neighbors:
         floor = min(s.sent_watermark for s in peer.neighbors.values())
-        keep = [
-            e
-            for e in peer.log
-            if e.local_rev > floor
-            or any(
-                e.origin_seq > s.received_watermark.get(e.origin, 0)
-                for s in peer.neighbors.values()
-            )
-        ]
+        keep = [e for e in peer.log if e.local_rev > floor]
     else:
         keep = []
     pruned = len(peer.log) - len(keep)
@@ -394,9 +385,7 @@ def split_message(msg: SyncMessage, parts: int) -> list[SyncMessage]:
             capped = min(seq, first_later.get(origin, seq + 1) - 1)
             if capped > 0:
                 ack[origin] = capped
-        out.append(
-            SyncMessage(msg.sender, msg.receiver, msg.base_watermark, chunk, ack)
-        )
+        out.append(SyncMessage(msg.sender, msg.receiver, chunk, ack))
     return out
 
 
@@ -409,16 +398,13 @@ def encode_sync_message(msg: SyncMessage) -> str:
     ops = ",".join(
         f"{render_op(t.op)}@{t.origin}:{t.origin_seq}" for t in msg.payload
     )
-    return (
-        f"MSG from={msg.sender} to={msg.receiver} "
-        f"wm={msg.base_watermark} ack={ack} ops=[{ops}]"
-    )
+    return f"MSG from={msg.sender} to={msg.receiver} ack={ack} ops=[{ops}]"
 
 
 def parse_sync_message(line: str) -> SyncMessage:
     tokens = line.strip().split(" ")
-    keys = ("from", "to", "wm", "ack", "ops")
-    if len(tokens) != 6 or tokens[0] != "MSG":
+    keys = ("from", "to", "ack", "ops")
+    if len(tokens) != 5 or tokens[0] != "MSG":
         raise ValueError(f"malformed message: {line!r}")
     values: dict[str, str] = {}
     for token, expected in zip(tokens[1:], keys):
@@ -448,12 +434,9 @@ def parse_sync_message(line: str) -> SyncMessage:
                 raise ValueError(f"malformed payload item: {item!r}")
             payload.append(TaggedOp(parse_op(body), origin, int(seq)))
 
-    if not values["wm"].isdigit():
-        raise ValueError(f"malformed watermark: {values['wm']!r}")
     return SyncMessage(
         sender=values["from"],
         receiver=values["to"],
-        base_watermark=int(values["wm"]),
         payload=tuple(payload),
         ack=ack,
     )

@@ -2,16 +2,15 @@
 
 A scenario declares peers, undirected links, and an event list (local ops,
 directed syncs, partitions, heals, resolution passes, prunes, and state
-checks).  Running a scenario is pure: identical scenario text and seed give
-identical reports.  Messages travel through per-direction FIFO channels; a
-sync attempted across a partitioned link is recorded as a drop, not an
-error, and the watermark scheme makes a later sync resend what was lost.
+checks); the links must form a forest.  Running a scenario is pure: identical
+scenario text and seed give identical reports.  A sync attempted across a
+partitioned link is recorded as a drop, not an error, and the watermark
+scheme makes a later sync resend what was lost.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import core, peer as peermod, resolution
@@ -26,7 +25,6 @@ from .core import (
     render_element,
     render_element_set,
 )
-from .peer import PeerState, SyncMessage
 
 # ---------------------------------------------------------------------------
 # Scenario model
@@ -104,20 +102,14 @@ def _link_key(a: str, b: str) -> tuple[str, str]:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text; raises ScenarioError with the offending line."""
+    """Parse scenario text; raises ScenarioError with the offending line.
+
+    Declarations are order-free: a LINK may precede the PEER lines it names.
+    """
     peers: list[tuple[str, frozenset]] = []
     links: list[tuple[str, str]] = []
     events: list[Event] = []
-    declared: set[str] = set()
-    link_keys: set[tuple[str, str]] = set()
-
-    def need_peer(name: str, lineno: int) -> None:
-        if name not in declared:
-            raise ScenarioError(f"undeclared peer {name}", lineno)
-
-    def need_link(a: str, b: str, lineno: int) -> None:
-        if _link_key(a, b) not in link_keys:
-            raise ScenarioError(f"no link between {a} and {b}", lineno)
+    lines: dict[tuple[str, int], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -129,58 +121,47 @@ def parse_scenario(text: str) -> Scenario:
             if word == "PEER":
                 if len(fields) != 3:
                     raise ScenarioError("expected: PEER <id> <set>", lineno)
-                name = fields[1]
-                if name in declared:
-                    raise ScenarioError(f"duplicate peer {name}", lineno)
-                peers.append((name, parse_element_set(fields[2])))
-                declared.add(name)
-            elif word == "LINK":
+                lines["peer", len(peers)] = lineno
+                peers.append((fields[1], parse_element_set(fields[2])))
+                continue
+            if word == "LINK":
                 if len(fields) != 3:
                     raise ScenarioError("expected: LINK <a> <b>", lineno)
-                a, b = fields[1], fields[2]
-                need_peer(a, lineno)
-                need_peer(b, lineno)
-                if a == b:
-                    raise ScenarioError(f"link from {a} to itself", lineno)
-                if _link_key(a, b) in link_keys:
-                    raise ScenarioError(f"duplicate link {a} {b}", lineno)
-                links.append((a, b))
-                link_keys.add(_link_key(a, b))
-            elif word == "OP":
+                lines["link", len(links)] = lineno
+                links.append((fields[1], fields[2]))
+                continue
+            if word == "OP":
                 if len(fields) != 4 or fields[2] not in ("insert", "delete"):
                     raise ScenarioError(
                         "expected: OP <peer> insert|delete <element>", lineno
                     )
-                need_peer(fields[1], lineno)
-                events.append(OpEvent(fields[1], fields[2], parse_element(fields[3])))
+                event = OpEvent(fields[1], fields[2], parse_element(fields[3]))
             elif word in ("SYNC", "PARTITION", "HEAL"):
                 if len(fields) != 3:
                     raise ScenarioError(f"expected: {word} <a> <b>", lineno)
-                a, b = fields[1], fields[2]
-                need_peer(a, lineno)
-                need_peer(b, lineno)
-                need_link(a, b, lineno)
                 cls = {"SYNC": SyncEvent, "PARTITION": PartitionEvent, "HEAL": HealEvent}
-                events.append(cls[word](a, b))
+                event = cls[word](fields[1], fields[2])
             elif word in ("RESOLVE", "PRUNE"):
                 if len(fields) != 2:
                     raise ScenarioError(f"expected: {word} <peer>", lineno)
-                need_peer(fields[1], lineno)
                 cls = {"RESOLVE": ResolveEvent, "PRUNE": PruneEvent}
-                events.append(cls[word](fields[1]))
+                event = cls[word](fields[1])
             elif word == "CHECK":
                 if len(fields) != 3:
                     raise ScenarioError("expected: CHECK <peer> <set>", lineno)
-                need_peer(fields[1], lineno)
-                events.append(CheckEvent(fields[1], parse_element_set(fields[2])))
+                event = CheckEvent(fields[1], parse_element_set(fields[2]))
             else:
                 raise ScenarioError(f"unknown directive {word}", lineno)
         except ValueError as exc:
             raise ScenarioError(str(exc), lineno) from exc
+        lines["event", len(events)] = lineno
+        events.append(event)
 
     if not peers:
         raise ScenarioError("scenario declares no peers", line=1)
-    return Scenario(tuple(peers), tuple(links), tuple(events))
+    scenario = Scenario(tuple(peers), tuple(links), tuple(events))
+    _validate(scenario, lines)
+    return scenario
 
 
 def render_event(event: Event) -> str:
@@ -213,18 +194,6 @@ def render_scenario(scenario: Scenario) -> str:
 # Execution
 
 
-@dataclass
-class ChannelState:
-    """One undirected link: liveness plus a FIFO queue per direction."""
-
-    link: tuple[str, str]
-    up: bool = True
-    in_flight: dict[tuple[str, str], deque] = field(default_factory=dict)
-
-    def queue(self, src: str, dst: str) -> deque:
-        return self.in_flight.setdefault((src, dst), deque())
-
-
 @dataclass(frozen=True)
 class CheckOutcome:
     event_index: int
@@ -245,7 +214,6 @@ class RunReport:
     messages_sent: int
     messages_delivered: int
     messages_dropped: int
-    cycle_warning: bool
 
     @property
     def checks_passed(self) -> bool:
@@ -261,48 +229,50 @@ def render_report(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _components(scenario: Scenario) -> list[set[str]]:
-    adjacency: dict[str, set[str]] = {name: set() for name, _ in scenario.peers}
-    for a, b in scenario.links:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for name, _ in scenario.peers:
-        if name in seen:
-            continue
-        group = {name}
-        frontier = [name]
-        while frontier:
-            for other in adjacency[frontier.pop()]:
-                if other not in group:
-                    group.add(other)
-                    frontier.append(other)
-        seen |= group
-        components.append(group)
-    return components
+def _validate(
+    scenario: Scenario, lines: dict[tuple[str, int], int] | None = None
+) -> dict[str, str]:
+    """Check that peers, links and events name each other consistently.
 
+    The links must form a forest (see the precondition in `peer`).  Returns
+    each peer's link-connected component, named by one of its members.
+    `lines` maps ("peer" | "link" | "event", index) to a source line.
+    """
 
-def _has_cycle(scenario: Scenario) -> bool:
-    for group in _components(scenario):
-        edges = sum(1 for a, b in scenario.links if a in group and b in group)
-        if edges >= len(group):
-            return True
-    return False
+    def fail(message: str, kind: str, index: int) -> None:
+        raise ScenarioError(message, lines.get((kind, index)) if lines else None)
 
+    declared: set[str] = set()
+    for i, (name, _) in enumerate(scenario.peers):
+        if not peermod._PEER_ID_RE.fullmatch(name):
+            fail(f"bad peer id {name}", "peer", i)
+        if name in declared:
+            fail(f"duplicate peer {name}", "peer", i)
+        declared.add(name)
 
-def _validate(scenario: Scenario) -> None:
-    declared = {name for name, _ in scenario.peers}
-    if len(declared) != len(scenario.peers):
-        raise ScenarioError("duplicate peer declaration")
-    keys = set()
-    for a, b in scenario.links:
-        if a not in declared or b not in declared or a == b:
-            raise ScenarioError(f"bad link {a} {b}")
+    # Union-find: a link joining two already connected peers closes a cycle.
+    parent = {name: name for name in declared}
+
+    def root(name: str) -> str:
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    keys: set[tuple[str, str]] = set()
+    for i, (a, b) in enumerate(scenario.links):
+        for name in (a, b):
+            if name not in declared:
+                fail(f"undeclared peer {name}", "link", i)
+        if a == b:
+            fail(f"link from {a} to itself", "link", i)
         if _link_key(a, b) in keys:
-            raise ScenarioError(f"duplicate link {a} {b}")
+            fail(f"duplicate link {a} {b}", "link", i)
+        if root(a) == root(b):
+            fail(f"link {a} {b} closes a cycle; links must form a forest", "link", i)
+        parent[root(b)] = root(a)
         keys.add(_link_key(a, b))
-    for event in scenario.events:
+
+    for i, event in enumerate(scenario.events):
         if isinstance(event, (SyncEvent, PartitionEvent, HealEvent)):
             pair = (
                 (event.src, event.dst)
@@ -310,11 +280,10 @@ def _validate(scenario: Scenario) -> None:
                 else (event.a, event.b)
             )
             if _link_key(*pair) not in keys:
-                raise ScenarioError(f"event uses missing link {pair[0]} {pair[1]}")
-        else:
-            name = event.peer
-            if name not in declared:
-                raise ScenarioError(f"event uses undeclared peer {name}")
+                fail(f"no link between {pair[0]} and {pair[1]}", "event", i)
+        elif event.peer not in declared:
+            fail(f"undeclared peer {event.peer}", "event", i)
+    return {name: root(name) for name in declared}
 
 
 def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunReport:
@@ -324,7 +293,7 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
     wire segments at most (sizes drawn from the seeded generator), which
     must not change any outcome.
     """
-    _validate(scenario)
+    component = _validate(scenario)
     rng = random.Random(seed)
 
     neighbors: dict[str, list[str]] = {name: [] for name, _ in scenario.peers}
@@ -335,9 +304,7 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
         name: peermod.init_peer(name, initial, tuple(neighbors[name]))
         for name, initial in scenario.peers
     }
-    channels = {
-        _link_key(a, b): ChannelState(_link_key(a, b)) for a, b in scenario.links
-    }
+    link_up = {_link_key(a, b): True for a, b in scenario.links}
 
     ops_applied = 0
     ops_no_effect = 0
@@ -357,32 +324,23 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
                 else:
                     ops_no_effect += 1
             elif isinstance(event, SyncEvent):
-                channel = channels[_link_key(event.src, event.dst)]
                 message = peermod.prepare_sync(peers[event.src], event.dst)
                 messages_sent += 1
-                if not channel.up:
+                if not link_up[_link_key(event.src, event.dst)]:
                     messages_dropped += 1
                     continue
-                queue = channel.queue(event.src, event.dst)
-                queue.append(message)
-                while queue:
-                    msg = queue.popleft()
-                    segments = [msg]
-                    if max_segments > 1 and len(msg.payload) > 1:
-                        segments = peermod.split_message(
-                            msg, rng.randint(2, max_segments)
-                        )
-                    for segment in segments:
-                        peermod.handle_sync(peers[event.dst], segment)
-                    messages_delivered += 1
+                segments = [message]
+                if max_segments > 1 and len(message.payload) > 1:
+                    segments = peermod.split_message(
+                        message, rng.randint(2, max_segments)
+                    )
+                for segment in segments:
+                    peermod.handle_sync(peers[event.dst], segment)
+                messages_delivered += 1
             elif isinstance(event, PartitionEvent):
-                channel = channels[_link_key(event.a, event.b)]
-                channel.up = False
-                for queue in channel.in_flight.values():
-                    messages_dropped += len(queue)
-                    queue.clear()
+                link_up[_link_key(event.a, event.b)] = False
             elif isinstance(event, HealEvent):
-                channels[_link_key(event.a, event.b)].up = True
+                link_up[_link_key(event.a, event.b)] = True
             elif isinstance(event, ResolveEvent):
                 ops_applied += len(resolution.lww_resolve(peers[event.peer]))
             elif isinstance(event, PruneEvent):
@@ -405,8 +363,8 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
 
     final_states = {name: frozenset(p.data) for name, p in peers.items()}
     convergence = all(
-        len({final_states[name] for name in group}) == 1
-        for group in _components(scenario)
+        members == final_states[component[name]]
+        for name, members in final_states.items()
     )
     return RunReport(
         seed=seed,
@@ -418,7 +376,6 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
         messages_sent=messages_sent,
         messages_delivered=messages_delivered,
         messages_dropped=messages_dropped,
-        cycle_warning=_has_cycle(scenario),
     )
 
 

@@ -59,7 +59,21 @@ def test_run_rejects_unparsable_input(tmp_path, capsys):
     empty.write_text("")
     assert cli.main(["run", str(empty)]) == 2
 
+    # A cycle of links is refused on the LINK line that closes it.
+    triangle = tmp_path / "triangle.scenario"
+    triangle.write_text(
+        "PEER A {}\nPEER B {}\nPEER C {}\nLINK A B\nLINK B C\nLINK A C\n"
+        "OP A insert 1\nOP B insert 1\nSYNC A B\nSYNC B C\nSYNC C A\n"
+    )
+    capsys.readouterr()
+    assert cli.main(["run", str(triangle)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 6:")
+
     assert cli.main(["run", str(tmp_path / "missing.scenario")]) == 2
+
+    binary = tmp_path / "binary.scenario"
+    binary.write_bytes(b"PEER P {\xff}\n")
+    assert cli.main(["run", str(binary)]) == 2
 
 
 def test_run_writes_report_file(scenario_file, tmp_path, capsys):
@@ -67,6 +81,14 @@ def test_run_writes_report_file(scenario_file, tmp_path, capsys):
     report.parent.mkdir()
     assert cli.main(["run", scenario_file, "--report", str(report)]) == 0
     assert report.read_text() == capsys.readouterr().out
+
+
+def test_run_rejects_unwritable_report_path(scenario_file, tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.txt"
+    assert cli.main(["run", scenario_file, "--report", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report:")
+    assert err.count("\n") == 1
 
 
 def test_report_dir_override(scenario_file, tmp_path, monkeypatch, capsys):
@@ -118,6 +140,12 @@ def test_fuzz_standard_run(capsys):
 
 def test_fuzz_rejects_single_peer(capsys):
     assert cli.main(["fuzz", "--peers", "1"]) == 2
+
+
+@pytest.mark.parametrize("universe", ["0", "-3"])
+def test_fuzz_rejects_empty_universe(universe, capsys):
+    assert cli.main(["fuzz", "--universe", universe]) == 2
+    assert capsys.readouterr().err == "--universe must be at least 1\n"
 
 
 def test_fuzz_dump_is_rerunnable(tmp_path, monkeypatch, capsys):

@@ -96,7 +96,6 @@ def test_prepare_cancelled_pair_sends_nothing_but_acks():
     local_update(p, "delete", 3)
     msg = prepare_sync(p, "Q")
     assert msg.payload == ()
-    assert msg.base_watermark == 2
     # The coverage map still accounts for the pair, so the receiver can
     # treat both ops as delivered.
     assert msg.ack == {"P": 2}
@@ -116,7 +115,6 @@ def test_prepare_empty_log():
     msg = prepare_sync(p, "Q")
     assert msg.payload == ()
     assert msg.ack == {}
-    assert msg.base_watermark == 0
 
 
 def test_prepare_unknown_neighbor():
@@ -209,7 +207,7 @@ def test_handle_wrong_receiver_and_unknown_sender():
     msg = prepare_sync(p, "Q")
     with pytest.raises(ValueError):
         handle_sync(p, msg)
-    stray = SyncMessage("R", "Q", 0, (), {})
+    stray = SyncMessage("R", "Q", (), {})
     with pytest.raises(UnknownNeighbor):
         handle_sync(q, stray)
 
@@ -346,14 +344,13 @@ def test_split_handling_matches_whole_message():
 
 
 def test_split_degenerate_cases():
-    msg = SyncMessage("P", "Q", 3, (TaggedOp(Op.insert(1), "P", 1),), {"P": 1})
+    msg = SyncMessage("P", "Q", (TaggedOp(Op.insert(1), "P", 1),), {"P": 1})
     assert split_message(msg, 3) == [msg]
     assert split_message(msg, 1) == [msg]
     # Entangled payload: the first element spans everything, so no cut exists.
     tangled = SyncMessage(
         "P",
         "Q",
-        3,
         (
             TaggedOp(Op.insert(1), "P", 1),
             TaggedOp(Op.insert(2), "P", 2),
@@ -372,7 +369,6 @@ def test_wire_round_trip():
     msg = SyncMessage(
         sender="P",
         receiver="Q",
-        base_watermark=4,
         payload=(
             TaggedOp(Op.delete(2), "Q", 1),
             TaggedOp(Op.insert(3), "Q", 2),
@@ -380,14 +376,14 @@ def test_wire_round_trip():
         ack={"P": 2, "Q": 2},
     )
     line = encode_sync_message(msg)
-    assert line == "MSG from=P to=Q wm=4 ack=P:2,Q:2 ops=[-2@Q:1,+3@Q:2]"
+    assert line == "MSG from=P to=Q ack=P:2,Q:2 ops=[-2@Q:1,+3@Q:2]"
     assert parse_sync_message(line) == msg
 
 
 def test_wire_round_trip_empty_fields():
-    msg = SyncMessage("P", "Q", 0, (), {})
+    msg = SyncMessage("P", "Q", (), {})
     line = encode_sync_message(msg)
-    assert line == "MSG from=P to=Q wm=0 ack= ops=[]"
+    assert line == "MSG from=P to=Q ack= ops=[]"
     assert parse_sync_message(line) == msg
 
 
@@ -397,7 +393,6 @@ def test_wire_round_trip_structured_elements():
     msg = SyncMessage(
         "P",
         "Q",
-        2,
         (
             TaggedOp(Op.insert(Triple("a", 7, 1)), "P", 1),
             TaggedOp(Op.insert("token"), "P", 2),
@@ -408,15 +403,14 @@ def test_wire_round_trip_structured_elements():
 
 
 def test_wire_rejects_malformed_lines():
-    good = "MSG from=P to=Q wm=0 ack= ops=[]"
+    good = "MSG from=P to=Q ack= ops=[]"
     assert parse_sync_message(good).sender == "P"
     for bad in (
-        "MSG from=P to=Q wm=0 ack=",
-        "MSG from=P to=Q wm=x ack= ops=[]",
-        "MSG from=P to=Q wm=0 ack=P ops=[]",
-        "MSG from=P to=Q wm=0 ack= ops=[+3]",
-        "MSG from=P to=Q wm=0 ops= ack=[]",
-        "PKT from=P to=Q wm=0 ack= ops=[]",
+        "MSG from=P to=Q ack=",
+        "MSG from=P to=Q ack=P ops=[]",
+        "MSG from=P to=Q ack= ops=[+3]",
+        "MSG from=P to=Q ops= ack=[]",
+        "PKT from=P to=Q ack= ops=[]",
     ):
         with pytest.raises(ValueError):
             parse_sync_message(bad)

@@ -41,12 +41,15 @@ CHECK Q {1,3}
 
 
 def test_parse_scenario_structure():
-    sc = parse_scenario(RECONNECT)
-    assert [name for name, _ in sc.peers] == ["P", "Q"]
-    assert sc.links == (("P", "Q"),)
-    assert isinstance(sc.events[1], OpEvent)
-    assert sc.events[1] == OpEvent("P", "insert", 3)
-    assert sc.events[-1] == CheckEvent("Q", frozenset({1, 3}))
+    # Declarations are order-free: a LINK may precede its PEER lines.
+    reordered = "LINK P Q\n" + RECONNECT.replace("LINK P Q\n", "")
+    for text in (RECONNECT, reordered):
+        sc = parse_scenario(text)
+        assert [name for name, _ in sc.peers] == ["P", "Q"]
+        assert sc.links == (("P", "Q"),)
+        assert isinstance(sc.events[1], OpEvent)
+        assert sc.events[1] == OpEvent("P", "insert", 3)
+        assert sc.events[-1] == CheckEvent("Q", frozenset({1, 3}))
 
 
 def test_render_parse_round_trip():
@@ -72,6 +75,7 @@ def test_parse_triple_elements():
         ("PEER P {1}\nCHECK P 1,3\n", 2),
         ("PEER P {1}\nBOUNCE P\n", 2),
         ("PEER P {1}\nLINK P P\n", 2),
+        ("PEER P {1}\nPEER Q@x {}\n", 2),
         ("", 1),
     ],
 )
@@ -94,7 +98,6 @@ def test_reconnect_scenario_converges():
     }
     assert report.convergence
     assert report.checks_passed
-    assert not report.cycle_warning
     assert (
         render_report(report)
         == "FINAL P {1,3}\nFINAL Q {1,3}\nCONVERGED true\n"
@@ -155,16 +158,20 @@ def test_prune_events_do_not_change_outcomes():
     )
 
 
-def test_cycle_warning_flags_triangles():
-    triangle = parse_scenario(
-        "PEER A {}\nPEER B {}\nPEER C {}\n"
-        "LINK A B\nLINK B C\nLINK A C\n"
+def test_cyclic_links_are_rejected():
+    peers = "PEER A {}\nPEER B {}\nPEER C {}\n"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(peers + "LINK A B\nLINK B C\nLINK A C\n")
+    assert info.value.line == 6
+    triangle = Scenario(
+        tuple((name, frozenset()) for name in "ABC"),
+        (("A", "B"), ("B", "C"), ("C", "A")),
+        (),
     )
-    line = parse_scenario(
-        "PEER A {}\nPEER B {}\nPEER C {}\nLINK A B\nLINK B C\n"
-    )
-    assert run_scenario(triangle, seed=0).cycle_warning
-    assert not run_scenario(line, seed=0).cycle_warning
+    with pytest.raises(ScenarioError):
+        run_scenario(triangle, seed=0)
+    line = parse_scenario(peers + "LINK A B\nLINK B C\n")
+    assert run_scenario(line, seed=0).convergence
 
 
 def test_convergence_is_judged_per_component():
