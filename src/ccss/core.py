@@ -248,6 +248,29 @@ def _split_top(text: str, sep: str = ",") -> list[str]:
     return parts
 
 
+_TOKEN_RE = re.compile(r"[^\s,()\[\]{}]+")
+
+
+def is_wire_element(x: Element) -> bool:
+    """True when the canonical text carries `x` intact, alone or in a list.
+
+    That holds for integers (not bools), plain tokens (non-empty strings
+    without whitespace, commas or brackets that do not read as an integer),
+    and triples of those with an integer stamp.  Anything else would be
+    turned into another element or break the list it is written in.
+    """
+    if type(x) is int:
+        return True
+    if type(x) is str:
+        return bool(_TOKEN_RE.fullmatch(x)) and not _INT_RE.fullmatch(x)
+    return (
+        type(x) is Triple
+        and type(x.stamp) is int
+        and is_wire_element(x.value)
+        and is_wire_element(x.key)
+    )
+
+
 def render_element(x: Element) -> str:
     if isinstance(x, Triple):
         return f"({render_element(x.value)},{render_element(x.key)},{x.stamp})"

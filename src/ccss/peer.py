@@ -1,4 +1,4 @@
-"""Replica peers: operation logs, watermarked sync, and log pruning.
+"""Replica peers: operation logs, acknowledged sync, and log pruning.
 
 Each peer owns a set plus a log of the effectful operations it has applied,
 every entry tagged with the operation's origin peer and a per-origin sequence
@@ -17,6 +17,11 @@ an operation the receiver already holds.  The receiver may therefore treat
 everything under the ack map as delivered, which is what lets mutually
 canceling pairs vanish from the wire without stalling pruning.
 
+Progress: each neighbor's ack maps, merged by per-origin maximum, are the one
+record of what that neighbor holds.  Sync payloads skip what it covers, and
+the log prefix every neighbor's map covers may be pruned (the per-neighbor
+ack map of delta-state anti-entropy; Almeida, Shoker and Baquero, JPDC 2018).
+
 Precondition: the links between peers form a forest.  A peer that strikes
 out a concurrent duplicate intent acknowledges both tags onward, so on a
 cycle a peer reached by a second path takes the struck tag as news on top of
@@ -32,12 +37,18 @@ from . import core
 from .core import (
     CcssError,
     Element,
+    InvalidDelete,
+    InvalidInsert,
     Op,
+    OpKind,
     OpSeq,
+    is_valid,
+    is_wire_element,
     make_delete,
     make_insert,
     normalize,
     parse_op,
+    render_element,
     render_op,
     transform_remote,
 )
@@ -69,9 +80,10 @@ class LogEntry:
 class NeighborState:
     """What a peer knows about one neighbor's progress.
 
-    sent_watermark: highest local_rev of our log the neighbor has
-    acknowledged; received_watermark: highest origin_seq per origin the
-    neighbor is known to have applied.  Both only ever grow.
+    received_watermark: highest origin_seq per origin the neighbor is known
+    to have applied, the merge of every ack map it sent.  It only grows, and
+    it is the one record of the neighbor's progress: sync and pruning both
+    read it.
 
     known_entries holds log entries the neighbor provably holds the intent
     of even though its acknowledgments do not cover them yet: when an
@@ -86,7 +98,6 @@ class NeighborState:
     """
 
     neighbor: PeerId
-    sent_watermark: int = 0
     received_watermark: dict[PeerId, int] = field(default_factory=dict)
     known_entries: set[tuple[PeerId, int]] = field(default_factory=set)
     offered_entries: set[tuple[PeerId, int]] = field(default_factory=set)
@@ -151,8 +162,12 @@ def local_update(peer: PeerState, intent: str, x: Element) -> Op | None:
 
     Returns the applied operation, or None when the intent had no effect
     (inserting a present element, deleting an absent one).  No-effect intents
-    leave no trace: nothing is logged and nothing propagates.
+    leave no trace: nothing is logged and nothing propagates.  An element
+    the wire cannot carry intact (see `core.is_wire_element`) is refused
+    with ValueError.
     """
+    if type(x) is not int and not is_wire_element(x):
+        raise ValueError(f"element cannot cross the wire: {x!r}")
     if intent == "insert":
         op = make_insert(peer.data, x)
     elif intent == "delete":
@@ -169,17 +184,23 @@ def local_update(peer: PeerState, intent: str, x: Element) -> Op | None:
     return op
 
 
-def _element_tails(log, knows) -> dict[Element, list[LogEntry]]:
-    """Per element, the run of log entries after the last one `knows` covers.
+def _element_tails(log, neighbor, acks, known) -> dict[Element, list[LogEntry]]:
+    """Per element, the run of log entries after the last one `neighbor` has.
 
-    Everything up to and including a covered entry is settled knowledge on
-    that element, so only the trailing unknown run carries news.  Within a
-    run the ops alternate (the log is a valid sequence), so an even run nets
-    to nothing and an odd run nets to its final op.
+    The neighbor has the entries it originated, those under `acks`, and
+    those in `known` (the same intent under another tag).  Everything up to
+    and including such an entry is settled knowledge on that element, so only
+    the trailing unknown run carries news.  Within a run the ops alternate
+    (the log is a valid sequence), so an even run nets to nothing and an odd
+    run nets to its final op.
     """
     tails: dict[Element, list[LogEntry]] = {}
     for e in log:
-        if knows(e):
+        if (
+            e.origin == neighbor
+            or e.origin_seq <= acks.get(e.origin, 0)
+            or (e.origin, e.origin_seq) in known
+        ):
             tails[e.op.element] = []
         else:
             tails.setdefault(e.op.element, []).append(e)
@@ -203,16 +224,11 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     if state is None:
         raise UnknownNeighbor(f"{peer.id}: unknown neighbor {neighbor}")
 
-    def knows(e: LogEntry) -> bool:
-        return (
-            e.origin == neighbor
-            or e.local_rev <= state.sent_watermark
-            or e.origin_seq <= state.received_watermark.get(e.origin, 0)
-            or (e.origin, e.origin_seq) in state.known_entries
-        )
-
+    tails = _element_tails(
+        peer.log, neighbor, state.received_watermark, state.known_entries
+    )
     picked: list[LogEntry] = []
-    for tail in _element_tails(peer.log, knows).values():
+    for tail in tails.values():
         if not tail:
             continue
         if any((e.origin, e.origin_seq) in state.offered_entries for e in tail):
@@ -229,14 +245,6 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     )
 
 
-def _acked_through(peer: PeerState, acks: dict[PeerId, int]) -> int:
-    """Highest local_rev such that every retained entry below it is covered."""
-    for entry in peer.log:
-        if entry.origin_seq > acks.get(entry.origin, 0):
-            return entry.local_rev - 1
-    return peer.rev
-
-
 def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     """Apply one sync message; returns the operations actually applied.
 
@@ -247,7 +255,9 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     against the per-element net of local log entries the sender had not
     seen, and the non-Nop results are applied and logged under their
     original origin tags, ready to propagate onward.  Stale or empty
-    messages are normal and return an empty tuple.
+    messages are normal and return an empty tuple.  A message carrying an op
+    that is not effectful here raises InvalidInsert or InvalidDelete and
+    leaves the peer unchanged.
     """
     if msg.receiver != peer.id:
         raise ValueError(f"message for {msg.receiver} handled by {peer.id}")
@@ -263,15 +273,9 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     # whose intent the sender has not seen.  Twin-matched entries count as
     # seen; the sender holds the same intent under its own tag, so its
     # later ops are not concurrent with them.
-    def sender_knows(e: LogEntry) -> bool:
-        return (
-            e.origin == msg.sender
-            or e.origin_seq <= msg.ack.get(e.origin, 0)
-            or (e.origin, e.origin_seq) in state.known_entries
-        )
-
+    tails = _element_tails(peer.log, msg.sender, msg.ack, state.known_entries)
     survivors: dict[Element, LogEntry] = {}
-    for element, tail in _element_tails(peer.log, sender_knows).items():
+    for element, tail in tails.items():
         if len(tail) % 2 == 1:
             survivors[element] = tail[-1]
     unseen_by_sender = tuple(
@@ -279,11 +283,18 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     )
     pending_ops = normalize(tuple(t.op for t in pending))
     rewritten = transform_remote(unseen_by_sender, pending_ops)
+    # Normalized ops touch distinct elements, so each one can be checked
+    # against the unchanged set before anything is mutated.
+    for op in rewritten:
+        if not is_valid(peer.data, op):
+            if op.kind is OpKind.INSERT:
+                raise InvalidInsert(f"{render_element(op.element)} already present")
+            raise InvalidDelete(f"{render_element(op.element)} not present")
 
     applied: list[Op] = []
     for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
         if not op.is_nop:
-            peer.data = set(core.apply_op(peer.data, op))
+            peer.data ^= {op.element}
             peer.rev += 1
             peer.log.append(LogEntry(op, tagged.origin, tagged.origin_seq, peer.rev))
             applied.append(op)
@@ -302,8 +313,7 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
             peer.applied_seqs[origin] = seq
         if seq > state.received_watermark.get(origin, 0):
             state.received_watermark[origin] = seq
-    state.sent_watermark = max(state.sent_watermark, _acked_through(peer, msg.ack))
-    # Acknowledged entries leave the candidate pool by the watermark filter,
+    # Acknowledged entries leave the candidate pool by the ack map filter,
     # so the per-entry exception sets can forget them.
     for marks in (state.known_entries, state.offered_entries):
         stale = {
@@ -314,23 +324,22 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
 
 
 def prune_log(peer: PeerState) -> int:
-    """Drop log entries every neighbor has acknowledged; returns the count.
+    """Drop the log prefix every neighbor has acknowledged; returns the count.
 
-    An entry is prunable when its local_rev is at or below every neighbor's
-    sent_watermark.  Such an entry is also under every neighbor's
-    received_watermark, which absorbed the ack map each sent_watermark was
-    raised from.  A peer with no neighbors answers to nobody and prunes
-    everything.
+    A neighbor has acknowledged an entry when its origin_seq is under that
+    neighbor's ack map.  Ack maps only grow, so such an entry is settled for
+    every neighbor: in the element tails of `prepare_sync` and `handle_sync`
+    it can only end a tail, never join one.  Dropping a prefix, never an
+    entry whose predecessors stay, therefore leaves every tail as it was.
+    A peer with no neighbors answers to nobody and prunes everything.
     """
-    if not peer.log:
-        return 0
-    if peer.neighbors:
-        floor = min(s.sent_watermark for s in peer.neighbors.values())
-        keep = [e for e in peer.log if e.local_rev > floor]
-    else:
-        keep = []
-    pruned = len(peer.log) - len(keep)
-    peer.log[:] = keep
+    acks = [s.received_watermark for s in peer.neighbors.values()]
+    pruned = 0
+    for e in peer.log:
+        if not all(e.origin_seq <= a.get(e.origin, 0) for a in acks):
+            break
+        pruned += 1
+    del peer.log[:pruned]
     return pruned
 
 

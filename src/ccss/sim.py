@@ -4,8 +4,8 @@ A scenario declares peers, undirected links, and an event list (local ops,
 directed syncs, partitions, heals, resolution passes, prunes, and state
 checks); the links must form a forest.  Running a scenario is pure: identical
 scenario text and seed give identical reports.  A sync attempted across a
-partitioned link is recorded as a drop, not an error, and the watermark
-scheme makes a later sync resend what was lost.
+partitioned link is recorded as a drop, not an error, and acknowledgments
+make a later sync resend what was lost.
 """
 
 from __future__ import annotations
@@ -283,6 +283,8 @@ def _validate(
                 fail(f"no link between {pair[0]} and {pair[1]}", "event", i)
         elif event.peer not in declared:
             fail(f"undeclared peer {event.peer}", "event", i)
+        elif isinstance(event, OpEvent) and not core.is_wire_element(event.element):
+            fail(f"element {event.element!r} cannot cross the wire", "event", i)
     return {name: root(name) for name in declared}
 
 

@@ -75,6 +75,13 @@ def test_run_rejects_unparsable_input(tmp_path, capsys):
     binary.write_bytes(b"PEER P {\xff}\n")
     assert cli.main(["run", str(binary)]) == 2
 
+    # An element the wire would split into two is refused, not run.
+    comma = tmp_path / "comma.scenario"
+    comma.write_text("PEER P {1}\nPEER Q {1}\nLINK P Q\nOP P insert a,b\nSYNC P Q\n")
+    capsys.readouterr()
+    assert cli.main(["run", str(comma)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 4:")
+
 
 def test_run_writes_report_file(scenario_file, tmp_path, capsys):
     report = tmp_path / "out" / "report.txt"

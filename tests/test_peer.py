@@ -1,8 +1,20 @@
 """Peer state machine: logs, sync exchange, pruning, segmentation, wire."""
 
-import pytest
+import copy
 
-from ccss.core import NOP, Op
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from ccss.core import (
+    NOP,
+    InvalidDelete,
+    InvalidInsert,
+    Op,
+    Triple,
+    parse_element_set,
+    render_element_set,
+)
 from ccss.peer import (
     DuplicateNeighbor,
     SyncMessage,
@@ -39,7 +51,7 @@ def test_init_peer_fields():
     assert p.rev == 0
     assert p.log == []
     assert set(p.neighbors) == {"Q"}
-    assert p.neighbors["Q"].sent_watermark == 0
+    assert p.neighbors["Q"].received_watermark == {}
     assert p.applied_seqs == {}
 
 
@@ -84,6 +96,47 @@ def test_local_update_rejects_unknown_intent():
     p = init_peer("P", frozenset(), ())
     with pytest.raises(ValueError):
         local_update(p, "upsert", 1)
+
+
+@pytest.mark.parametrize(
+    "x", [3.5, True, "5", "", "a b", "x,y", "x]", Triple("x,y", 1, 2)]
+)
+def test_local_update_refuses_elements_the_wire_cannot_carry(x):
+    p = init_peer("P", frozenset(), ("Q",))
+    for intent in ("insert", "delete"):
+        with pytest.raises(ValueError):
+            local_update(p, intent, x)
+    assert p.data == set() and p.log == [] and p.applied_seqs == {}
+
+
+@pytest.mark.parametrize(
+    "x", [0, -7, 10**30, "a", "x-1", "a@b:2", Triple("a", 7, 1),
+          Triple(Triple("v", "k", -1), 2, 3)]
+)
+def test_local_update_accepts_ints_tokens_and_triples(x):
+    p = init_peer("P", frozenset(), ("Q",))
+    assert local_update(p, "insert", x) == Op.insert(x)
+    assert p.data == {x}
+
+
+def _elements(leaf):
+    return st.recursive(
+        leaf, lambda inner: st.builds(Triple, inner, inner, st.integers()), max_leaves=6
+    )
+
+
+@settings(deadline=None)
+@given(st.lists(_elements(st.integers() | st.booleans() | st.floats() | st.text())))
+def test_accepted_elements_survive_the_wire_and_the_set_text(candidates):
+    p = init_peer("P", frozenset(), ("Q",))
+    for x in candidates:
+        try:
+            local_update(p, "insert", x)
+        except ValueError:
+            pass
+    msg = prepare_sync(p, "Q")
+    assert parse_sync_message(encode_sync_message(msg)) == msg
+    assert parse_element_set(render_element_set(p.data)) == p.data
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +265,26 @@ def test_handle_wrong_receiver_and_unknown_sender():
         handle_sync(q, stray)
 
 
+@pytest.mark.parametrize(
+    "bad,error",
+    [(Op.insert(1), InvalidInsert), (Op.delete(9), InvalidDelete)],
+)
+def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
+    p, q = make_pair()
+    local_update(p, "insert", 4)
+    local_update(q, "insert", 5)
+    exchange(p, q)
+    prepare_sync(p, "Q")  # offered, not yet acknowledged
+    before = copy.deepcopy((p.data, p.log, p.rev, p.applied_seqs, p.neighbors))
+    # Crafted: Q's first op is fine on its own, its second is not effectful.
+    crafted = SyncMessage(
+        "Q", "P", (TaggedOp(Op.insert(3), "Q", 2), TaggedOp(bad, "Q", 3)), {"Q": 3}
+    )
+    with pytest.raises(error):
+        handle_sync(p, crafted)
+    assert (p.data, p.log, p.rev, p.applied_seqs, p.neighbors) == before
+
+
 def test_echo_freedom():
     p, q = make_pair()
     local_update(p, "insert", 3)
@@ -270,6 +343,31 @@ def test_prune_after_full_sync_empties_both_logs():
     local_update(p, "insert", 9)
     exchange(p, q)
     assert q.data == {1, 3, 9}
+
+
+def test_hub_prunes_only_what_every_neighbor_acknowledged():
+    p = init_peer("P", frozenset(), ("Q",))
+    q = init_peer("Q", frozenset(), ("P", "R"))
+    r = init_peer("R", frozenset(), ("Q",))
+    local_update(q, "insert", 1)
+    local_update(p, "insert", 2)
+    exchange(q, p)
+    exchange(p, q)  # P's op reaches Q, and P acknowledges Q's op
+    assert [(e.origin, e.origin_seq) for e in q.log] == [("Q", 1), ("P", 1)]
+    assert prune_log(q) == 0  # R, the slower neighbor, has acknowledged nothing
+    exchange(q, r)
+    assert prune_log(q) == 0  # R holds both entries, but its ack has not come
+    local_update(q, "insert", 3)
+    exchange(r, q)
+    assert prune_log(q) == 2  # R's ack covers the prefix, not Q's newest entry
+    assert [(e.origin, e.origin_seq) for e in q.log] == [("Q", 2)]
+    exchange(q, r)
+    exchange(r, q)
+    assert prune_log(q) == 0  # P has not acknowledged Q's newest entry yet
+    exchange(q, p)
+    exchange(p, q)
+    assert prune_log(q) == 1
+    assert p.data == q.data == r.data == {1, 2, 3}
 
 
 def test_prune_isolated_peer_drops_everything():

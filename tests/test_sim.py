@@ -76,6 +76,8 @@ def test_parse_triple_elements():
         ("PEER P {1}\nBOUNCE P\n", 2),
         ("PEER P {1}\nLINK P P\n", 2),
         ("PEER P {1}\nPEER Q@x {}\n", 2),
+        ("PEER P {1}\nPEER Q {1}\nLINK P Q\nOP P insert a,b\n", 4),
+        ("PEER P {1}\nOP P delete x]\n", 2),
         ("", 1),
     ],
 )
@@ -172,6 +174,13 @@ def test_cyclic_links_are_rejected():
         run_scenario(triangle, seed=0)
     line = parse_scenario(peers + "LINK A B\nLINK B C\n")
     assert run_scenario(line, seed=0).convergence
+
+
+def test_elements_the_wire_cannot_carry_are_rejected():
+    for x in ("a b", 3.5, Triple("x,y", 1, 2)):
+        sc = Scenario((("P", frozenset()),), (), (OpEvent("P", "insert", x),))
+        with pytest.raises(ScenarioError):
+            run_scenario(sc, seed=0)
 
 
 def test_convergence_is_judged_per_component():
