@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import conformance, sim
-from .core import DivergenceError, render_element_set
+from .core import CcssError, render_element_set
 
 REPORT_DIR_VAR = "CCSS_REPORT_DIR"
 
@@ -39,8 +39,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         report = sim.run_scenario(scenario, args.seed)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
+    except CcssError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     text = sim.render_report(report)
@@ -111,14 +111,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             sync_density=args.density,
             seed=seed,
         )
+        # A seed fails when its peers do not converge, when the library
+        # raises, or when the independent replay ends elsewhere.
         try:
             report = sim.run_scenario(scenario, seed)
-            converged = report.convergence
+            failed = not report.convergence
             detail = ""
-        except DivergenceError as exc:
-            converged = False
+            if not failed and sim.reference_run(scenario) != report.final_states:
+                failed = True
+                detail = " (differs from reference_run)"
+        except CcssError as exc:
+            failed = True
             detail = f" ({exc})"
-        if not converged:
+        if failed:
             failures += 1
             dump = _resolve_output_path(f"fuzz-fail-seed{seed}.scenario")
             with open(dump, "w", encoding="utf-8") as handle:

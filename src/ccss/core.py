@@ -149,16 +149,29 @@ def validate_seq(members: Iterable[Element], seq: Sequence[Op]) -> bool:
 
 
 def apply_seq(members: Iterable[Element], seq: Sequence[Op]) -> ElementSet:
-    """Fold a sequence over a set; failures carry the offending index."""
-    current = frozenset(members)
+    """Fold a sequence over a set; failures carry the offending index.
+
+    The fold mutates one private copy and freezes it once at the end.
+    """
+    current = set(members)
     for i, op in enumerate(seq):
-        try:
-            current = apply_op(current, op)
-        except (InvalidInsert, InvalidDelete) as exc:
-            err = type(exc)(f"op {i}: {exc}")
-            err.index = i
-            raise err from exc
-    return current
+        if op.kind is OpKind.INSERT:
+            if op.element in current:
+                err = InvalidInsert(
+                    f"op {i}: {render_element(op.element)} already present"
+                )
+                err.index = i
+                raise err
+            current.add(op.element)
+        elif op.kind is OpKind.DELETE:
+            if op.element not in current:
+                err = InvalidDelete(
+                    f"op {i}: {render_element(op.element)} not present"
+                )
+                err.index = i
+                raise err
+            current.remove(op.element)
+    return frozenset(current)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +206,21 @@ def _suppress_shared(seq: Sequence[Op], against: Sequence[Op]) -> OpSeq:
     A shared element with differing kinds is contradictory for histories that
     grew from the same base, so it raises DivergenceError.
     """
-    kinds: dict[Element, OpKind] = {
-        op.element: op.kind for op in against if not op.is_nop
-    }
+    # Nop is the only op without an element, so the None key it leaves
+    # behind is dropped and every op of `seq` costs one lookup.
+    kinds: dict[Element, OpKind] = {op.element: op.kind for op in against}
+    kinds.pop(None, None)
     out: list[Op] = []
     for op in seq:
-        if op.is_nop or op.element not in kinds:
+        kind = kinds.get(op.element)
+        if kind is None:
             out.append(op)
-        elif kinds[op.element] is op.kind:
+        elif kind is op.kind:
             out.append(NOP)
         else:
             raise DivergenceError(
                 f"histories disagree on {render_element(op.element)}: "
-                f"{kinds[op.element].name.lower()} vs {op.kind.name.lower()}"
+                f"{kind.name.lower()} vs {op.kind.name.lower()}"
             )
     return tuple(out)
 

@@ -269,42 +269,49 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
         t for t in msg.payload if t.origin_seq > peer.applied_seqs.get(t.origin, 0)
     ]
 
-    # The rewrite baseline: per element, the net news among local entries
-    # whose intent the sender has not seen.  Twin-matched entries count as
-    # seen; the sender holds the same intent under its own tag, so its
-    # later ops are not concurrent with them.
-    tails = _element_tails(peer.log, msg.sender, msg.ack, state.known_entries)
-    survivors: dict[Element, LogEntry] = {}
-    for element, tail in tails.items():
-        if len(tail) % 2 == 1:
-            survivors[element] = tail[-1]
-    unseen_by_sender = tuple(
-        e.op for e in sorted(survivors.values(), key=lambda e: e.local_rev)
-    )
-    pending_ops = normalize(tuple(t.op for t in pending))
-    rewritten = transform_remote(unseen_by_sender, pending_ops)
-    # Normalized ops touch distinct elements, so each one can be checked
-    # against the unchanged set before anything is mutated.
-    for op in rewritten:
-        if not is_valid(peer.data, op):
-            if op.kind is OpKind.INSERT:
-                raise InvalidInsert(f"{render_element(op.element)} already present")
-            raise InvalidDelete(f"{render_element(op.element)} not present")
-
     applied: list[Op] = []
-    for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
-        if not op.is_nop:
-            peer.data ^= {op.element}
-            peer.rev += 1
-            peer.log.append(LogEntry(op, tagged.origin, tagged.origin_seq, peer.rev))
-            applied.append(op)
-        elif not norm_op.is_nop:
-            # Struck out as a duplicate: the sender owns the same intent, so
-            # the matching local entry must never be sent back to it.
-            twin = survivors[norm_op.element]
-            state.known_entries.add((twin.origin, twin.origin_seq))
-        if tagged.origin_seq > peer.applied_seqs.get(tagged.origin, 0):
-            peer.applied_seqs[tagged.origin] = tagged.origin_seq
+    # An ack-only or fully redelivered message carries nothing new: only
+    # its ack map is merged below, and the log is not scanned.
+    if pending:
+        # The rewrite baseline: per element, the net news among local
+        # entries whose intent the sender has not seen.  Twin-matched entries
+        # count as seen; the sender holds the same intent under its own tag,
+        # so its later ops are not concurrent with them.
+        tails = _element_tails(peer.log, msg.sender, msg.ack, state.known_entries)
+        survivors: dict[Element, LogEntry] = {}
+        for element, tail in tails.items():
+            if len(tail) % 2 == 1:
+                survivors[element] = tail[-1]
+        unseen_by_sender = tuple(
+            e.op for e in sorted(survivors.values(), key=lambda e: e.local_rev)
+        )
+        pending_ops = normalize(tuple(t.op for t in pending))
+        rewritten = transform_remote(unseen_by_sender, pending_ops)
+        # Normalized ops touch distinct elements, so each one can be checked
+        # against the unchanged set before anything is mutated.
+        for op in rewritten:
+            if not is_valid(peer.data, op):
+                if op.kind is OpKind.INSERT:
+                    raise InvalidInsert(
+                        f"{render_element(op.element)} already present"
+                    )
+                raise InvalidDelete(f"{render_element(op.element)} not present")
+
+        for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
+            if not op.is_nop:
+                peer.data ^= {op.element}
+                peer.rev += 1
+                peer.log.append(
+                    LogEntry(op, tagged.origin, tagged.origin_seq, peer.rev)
+                )
+                applied.append(op)
+            elif not norm_op.is_nop:
+                # Struck out as a duplicate: the sender owns the same intent,
+                # so the matching local entry must never be sent back to it.
+                twin = survivors[norm_op.element]
+                state.known_entries.add((twin.origin, twin.origin_seq))
+            if tagged.origin_seq > peer.applied_seqs.get(tagged.origin, 0):
+                peer.applied_seqs[tagged.origin] = tagged.origin_seq
 
     # Everything under the ack map is now covered here: delivered just now,
     # known before, or canceled inside this very message.

@@ -358,10 +358,8 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
                         actual == event.expected,
                     )
                 )
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"event {index} ({render_event(event)}): {exc}"
-            ) from exc
+        except CcssError as exc:
+            raise type(exc)(f"event {index} ({render_event(event)}): {exc}") from exc
 
     final_states = {name: frozenset(p.data) for name, p in peers.items()}
     convergence = all(
@@ -440,11 +438,14 @@ def random_workload(
 # Independent replay
 
 
+_Tag = tuple[str, int]
+
+
 @dataclass
 class _MirrorPeer:
     data: set
-    history: list[tuple[Op, str, int]] = field(default_factory=list)
-    known: set[tuple[str, int]] = field(default_factory=set)
+    history: list[tuple[Op, _Tag]] = field(default_factory=list)
+    known: set[_Tag] = field(default_factory=set)
     issued: int = 0
 
 
@@ -455,40 +456,43 @@ class _IntentClasses:
     (same element, same kind, neither side had seen the other), they are one
     operation for counting purposes: a mirror that holds either id holds the
     intent, and it must be delivered and applied at most once per mirror.
+
+    Every mirror's `known` set holds class roots, so whether a mirror holds
+    an intent is one `find` and one set lookup.  A union moves the absorbed
+    root's marks to the surviving root.
     """
 
-    def __init__(self) -> None:
-        self._parent: dict[tuple[str, int], tuple[str, int]] = {}
-        self._members: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    def __init__(self, knowns: list[set[_Tag]]) -> None:
+        self._parent: dict[_Tag, _Tag] = {}  # roots have no entry
+        self._knowns = knowns
 
-    def find(self, key: tuple[str, int]) -> tuple[str, int]:
-        self._parent.setdefault(key, key)
-        self._members.setdefault(key, [key])
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
+    def find(self, tag: _Tag) -> _Tag:
+        parent = self._parent
+        root = tag
+        while root in parent:
+            root = parent[root]
+        while tag != root:
+            parent[tag], tag = root, parent[tag]
         return root
 
-    def union(self, a: tuple[str, int], b: tuple[str, int]) -> None:
+    def union(self, a: _Tag, b: _Tag) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[rb] = ra
-            self._members[ra].extend(self._members.pop(rb))
+            for known in self._knowns:
+                if rb in known:
+                    known.remove(rb)
+                    known.add(ra)
 
-    def known_to(self, key: tuple[str, int], known: set[tuple[str, int]]) -> bool:
-        return any(member in known for member in self._members[self.find(key)])
-
-    def dedupe(self, tagged: list) -> list:
-        """Keep the first instance of each class, preserving order."""
-        seen: set[tuple[str, int]] = set()
+    def unseen(self, history: list[tuple[Op, _Tag]], known: set[_Tag]) -> list:
+        """Entries whose class `known` lacks, first of each class, in order."""
+        taken: set[_Tag] = set()
         out = []
-        for t in tagged:
-            root = self.find((t[1], t[2]))
-            if root not in seen:
-                seen.add(root)
-                out.append(t)
+        for entry in history:
+            root = self.find(entry[1])
+            if root not in known and root not in taken:
+                taken.add(root)
+                out.append(entry)
         return out
 
 
@@ -505,16 +509,16 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
     _validate(scenario)
     mirrors = {name: _MirrorPeer(set(initial)) for name, initial in scenario.peers}
     link_up = {_link_key(a, b): True for a, b in scenario.links}
-    classes = _IntentClasses()
+    classes = _IntentClasses([m.known for m in mirrors.values()])
 
     def issue(mirror: _MirrorPeer, name: str, op: Op) -> None:
         mirror.issued += 1
-        tagged = (op, name, mirror.issued)
+        tag = (name, mirror.issued)
         mirror.data = set(core.apply_op(mirror.data, op))
-        mirror.history.append(tagged)
-        mirror.known.add((name, mirror.issued))
+        mirror.history.append((op, tag))
+        mirror.known.add(tag)
 
-    for event in scenario.events:
+    for index, event in enumerate(scenario.events):
         if isinstance(event, OpEvent):
             mirror = mirrors[event.peer]
             op = (
@@ -528,22 +532,18 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
             if not link_up[_link_key(event.src, event.dst)]:
                 continue
             src, dst = mirrors[event.src], mirrors[event.dst]
-            incoming = classes.dedupe(
-                [t for t in src.history if not classes.known_to((t[1], t[2]), dst.known)]
-            )
-            local = classes.dedupe(
-                [t for t in dst.history if not classes.known_to((t[1], t[2]), src.known)]
-            )
-            incoming_ops = core.normalize(tuple(t[0] for t in incoming))
-            local_ops = core.normalize(tuple(t[0] for t in local))
+            incoming = classes.unseen(src.history, dst.known)
+            local = classes.unseen(dst.history, src.known)
+            incoming_ops = core.normalize(tuple(op for op, _ in incoming))
+            local_ops = core.normalize(tuple(op for op, _ in local))
             local_by_elem = {
-                op.element: (op, t)
-                for op, t in zip(local_ops, local)
+                op.element: (op, tag)
+                for op, (_, tag) in zip(local_ops, local)
                 if not op.is_nop
             }
             inserts: set = set()
             deletes: set = set()
-            for op, t in zip(incoming_ops, incoming):
+            for op, entry in zip(incoming_ops, incoming):
                 if op.is_nop:
                     continue
                 twin = local_by_elem.get(op.element)
@@ -551,12 +551,12 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
                     twin_op, twin_tag = twin
                     if twin_op.kind is not op.kind:
                         raise DivergenceError(
-                            f"histories disagree on "
-                            f"{core.render_element(op.element)}: "
+                            f"event {index} ({render_event(event)}): histories "
+                            f"disagree on {core.render_element(op.element)}: "
                             f"{op.kind.name.lower()} vs {twin_op.kind.name.lower()}"
                         )
                     # Concurrent duplicates are one intent; count it once.
-                    classes.union((t[1], t[2]), (twin_tag[1], twin_tag[2]))
+                    classes.union(entry[1], twin_tag)
                     continue
                 if op.kind is core.OpKind.INSERT:
                     inserts.add(op.element)
@@ -564,10 +564,11 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
                     deletes.add(op.element)
                 # Only applied instances join the relay record; canceled
                 # pairs and duplicate twins are covered by the known marks.
-                dst.history.append(t)
+                dst.history.append(entry)
             dst.data = (dst.data - deletes) | inserts
-            for t in incoming:
-                dst.known.add((t[1], t[2]))
+            # Marked after the unions above, so each mark lands on its root.
+            for _, tag in incoming:
+                dst.known.add(classes.find(tag))
         elif isinstance(event, PartitionEvent):
             link_up[_link_key(event.a, event.b)] = False
         elif isinstance(event, HealEvent):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ccss import cli, core, sim
+from ccss import cli, core, peer, sim
 
 RECONNECT = """\
 PEER P {1,2}
@@ -98,6 +98,17 @@ def test_run_rejects_unwritable_report_path(scenario_file, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_run_names_the_failing_event(scenario_file, monkeypatch, capsys):
+    def broken(replica, msg):
+        raise core.InvalidInsert("3 already present")
+
+    monkeypatch.setattr(peer, "handle_sync", broken)
+    assert cli.main(["run", scenario_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "InvalidInsert: event 6 (SYNC P Q): 3 already present\n"
+
+
 def test_report_dir_override(scenario_file, tmp_path, monkeypatch, capsys):
     override = tmp_path / "reports"
     monkeypatch.setenv("CCSS_REPORT_DIR", str(override))
@@ -176,6 +187,20 @@ def test_fuzz_dump_is_rerunnable(tmp_path, monkeypatch, capsys):
     report = sim.run_scenario(divergent, seed=1)
     assert rerun_out == sim.render_report(report)
     assert "CONVERGED false" in rerun_out
+
+
+def test_fuzz_fails_a_seed_the_replay_disagrees_with(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "reference_run", lambda scenario: {})
+    monkeypatch.setenv("CCSS_REPORT_DIR", str(tmp_path))
+    assert cli.main(["fuzz", "--peers", "2", "--ops", "3", "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "seed 1: FAILED (differs from reference_run), scenario dumped" in out
+    assert "seeds=1 failed=1" in out
+    dump = tmp_path / "fuzz-fail-seed1.scenario"
+    scenario = sim.random_workload(
+        peers=2, universe_size=6, ops_per_peer=3, sync_density=0.2, seed=1
+    )
+    assert dump.read_text() == sim.render_scenario(scenario)
 
 
 def test_entry_point_requires_subcommand():

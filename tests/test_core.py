@@ -112,9 +112,14 @@ def test_apply_seq_error_carries_index():
     with pytest.raises(InvalidInsert) as info:
         apply_seq(d, (Op.delete(2), Op.insert(1)))
     assert info.value.index == 1
+    assert str(info.value) == "op 1: 1 already present"
     with pytest.raises(InvalidDelete) as info:
         apply_seq(d, (Op.delete(2), Op.delete(2)))
     assert info.value.index == 1
+    assert str(info.value) == "op 1: 2 not present"
+    result = apply_seq(d, (Op.delete(2), NOP, Op.insert(3)))
+    assert type(result) is frozenset and result == {1, 3}
+    assert d == {1, 2}
 
 
 # ---------------------------------------------------------------------------

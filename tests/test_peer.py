@@ -240,6 +240,15 @@ def test_handle_redelivery_is_idempotent():
     before = (set(q.data), q.rev, list(q.log))
     assert handle_sync(q, msg) == ()
     assert (set(q.data), q.rev, list(q.log)) == before
+    # Q's reply carries only its ack map; it settles what P offered and
+    # changes nothing else at P.
+    assert p.neighbors["Q"].offered_entries == {("P", 1)}
+    reply = prepare_sync(q, "P")
+    assert reply.payload == () and reply.ack == {"P": 1}
+    before = (set(p.data), p.rev, list(p.log))
+    assert handle_sync(p, reply) == ()
+    assert p.neighbors["Q"].offered_entries == set()
+    assert (set(p.data), p.rev, list(p.log)) == before
 
 
 def test_handle_concurrent_same_op_strikes_duplicate():

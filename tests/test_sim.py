@@ -1,9 +1,12 @@
 """Scenario parsing, deterministic execution, and the independent replay."""
 
+import random
+
 import pytest
 
-from ccss.core import Triple
+from ccss.core import Op, Triple
 from ccss.sim import (
+    _IntentClasses,
     CheckEvent,
     OpEvent,
     PruneEvent,
@@ -263,3 +266,80 @@ def test_reference_run_matches_randomized_workloads():
         report = run_scenario(sc, seed=seed)
         assert report.convergence, f"seed {seed} did not converge"
         assert reference_run(sc) == report.final_states, f"seed {seed} differs"
+
+
+class _MemberListClasses:
+    """The replay's earlier union-find: raw tags, member lists, two passes."""
+
+    def __init__(self):
+        self._parent = {}
+        self._members = {}
+
+    def find(self, key):
+        self._parent.setdefault(key, key)
+        self._members.setdefault(key, [key])
+        root = key
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[key] != root:
+            self._parent[key], key = root, self._parent[key]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[rb] = ra
+            self._members[ra].extend(self._members.pop(rb))
+
+    def known_to(self, key, known):
+        return any(member in known for member in self._members[self.find(key)])
+
+    def dedupe(self, tagged):
+        seen = set()
+        out = []
+        for t in tagged:
+            root = self.find(t[1])
+            if root not in seen:
+                seen.add(root)
+                out.append(t)
+        return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unseen_matches_member_list_classes(seed):
+    rng = random.Random(seed)
+    names = [f"M{i}" for i in range(rng.randint(2, 5))]
+    raw_known = {name: set() for name in names}
+    root_known = {name: set() for name in names}
+    histories = {name: [] for name in names}
+    old = _MemberListClasses()
+    new = _IntentClasses(list(root_known.values()))
+    tags = []
+    for step in range(150):
+        name = rng.choice(names)
+        action = rng.random()
+        if action < 0.35 or not tags:  # issue a fresh intent
+            tag = (name, step)
+            tags.append(tag)
+            histories[name].append((Op.insert(step), tag))
+            raw_known[name].add(tag)
+            root_known[name].add(tag)
+        elif action < 0.55:  # two tags turn out to be one intent
+            a, b = rng.choice(tags), rng.choice(tags)
+            old.union(a, b)
+            new.union(a, b)
+        elif action < 0.8:  # a mirror learns an intent
+            tag = rng.choice(tags)
+            raw_known[name].add(tag)
+            root_known[name].add(new.find(tag))
+        else:  # a mirror relays an entry from some history
+            source = histories[rng.choice(names)]
+            if source:
+                histories[name].append(rng.choice(source))
+        for holder in names:
+            for reader in names:
+                history, known = histories[holder], raw_known[reader]
+                expected = old.dedupe(
+                    [t for t in history if not old.known_to(t[1], known)]
+                )
+                assert new.unseen(history, root_known[reader]) == expected
