@@ -18,11 +18,14 @@ from .core import CcssError, render_element_set
 REPORT_DIR_VAR = "CCSS_REPORT_DIR"
 
 
-def _resolve_output_path(path: str) -> str:
+def _write_output(path: str, text: str) -> str:
+    """Write `text` to `path`, or into CCSS_REPORT_DIR when set; returns where."""
     override = os.environ.get(REPORT_DIR_VAR)
     if override:
         os.makedirs(override, exist_ok=True)
-        return os.path.join(override, os.path.basename(path))
+        path = os.path.join(override, os.path.basename(path))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
     return path
 
 
@@ -38,7 +41,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        report = sim.run_scenario(scenario, args.seed)
+        report = sim.run_scenario(scenario, seed=0)
     except CcssError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -47,9 +50,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(text, end="")
     if args.report:
         try:
-            path = _resolve_output_path(args.report)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_output(args.report, text)
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 2
@@ -96,12 +97,16 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.peers < 2:
-        print("--peers must be at least 2", file=sys.stderr)
-        return 2
-    if args.universe < 1:
-        print("--universe must be at least 1", file=sys.stderr)
-        return 2
+    for ok, message in (
+        (args.peers >= 2, "--peers must be at least 2"),
+        (args.universe >= 1, "--universe must be at least 1"),
+        (args.seeds >= 1, "--seeds must be at least 1"),
+        (args.ops >= 0, "--ops must be at least 0"),
+        (0 <= args.density <= 1, "--density must be between 0 and 1"),
+    ):
+        if not ok:
+            print(message, file=sys.stderr)
+            return 2
     failures = 0
     for seed in range(1, args.seeds + 1):
         scenario = sim.random_workload(
@@ -125,9 +130,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             detail = f" ({exc})"
         if failed:
             failures += 1
-            dump = _resolve_output_path(f"fuzz-fail-seed{seed}.scenario")
-            with open(dump, "w", encoding="utf-8") as handle:
-                handle.write(sim.render_scenario(scenario))
+            text = sim.render_scenario(scenario)
+            try:
+                dump = _write_output(f"fuzz-fail-seed{seed}.scenario", text)
+            except OSError as exc:
+                print(f"seed {seed}: cannot dump scenario: {exc}", file=sys.stderr)
+                return 2
             print(f"seed {seed}: FAILED{detail}, scenario dumped to {dump}")
     print(f"seeds={args.seeds} failed={failures}")
     return 1 if failures else 0
@@ -142,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run a scenario file")
     run_parser.add_argument("scenario", help="path to a scenario file")
-    run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--report", help="also write the report to this path")
     run_parser.set_defaults(func=_cmd_run)
 

@@ -1,10 +1,10 @@
 """Replica peers: operation logs, acknowledged sync, and log pruning.
 
-Each peer owns a set plus a log of the effectful operations it has applied,
-every entry tagged with the operation's origin peer and a per-origin sequence
-number.  Peers exchange asymmetric sync messages: the receiver rewrites the
-incoming operations against its own unseen suffix, applies the survivors, and
-keeps the original origin tags so the operations propagate onward.
+Each peer owns a set plus a log of the effectful ops it has applied, in
+applied order: TaggedOps (op, origin peer, per-origin sequence number), the
+same records the wire carries.  Peers exchange asymmetric sync messages: the
+receiver rewrites incoming ops against its own unseen suffix, applies the
+survivors and logs their records as received, so they propagate onward.
 
 Wire contract: a message carries a payload (origin-tagged operations) and an
 acknowledgment map (highest origin_seq per origin the sender has applied).
@@ -66,19 +66,11 @@ class UnknownNeighbor(CcssError):
     """Sync was attempted with a peer that is not a configured neighbor."""
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    """One applied effectful operation, tagged with where it came from."""
-
-    op: Op
-    origin: PeerId
-    origin_seq: int
-    local_rev: int
-
-
 @dataclass
 class NeighborState:
     """What a peer knows about one neighbor's progress.
+
+    The neighbor's id is its key in `PeerState.neighbors`.
 
     received_watermark: highest origin_seq per origin the neighbor is known
     to have applied, the merge of every ack map it sent.  It only grows, and
@@ -97,7 +89,6 @@ class NeighborState:
     tail containing one is repeated verbatim until acknowledged.
     """
 
-    neighbor: PeerId
     received_watermark: dict[PeerId, int] = field(default_factory=dict)
     known_entries: set[tuple[PeerId, int]] = field(default_factory=set)
     offered_entries: set[tuple[PeerId, int]] = field(default_factory=set)
@@ -105,6 +96,8 @@ class NeighborState:
 
 @dataclass(frozen=True)
 class TaggedOp:
+    """An effectful op tagged with its origin: a log entry and a payload item."""
+
     op: Op
     origin: PeerId
     origin_seq: int
@@ -122,17 +115,17 @@ class SyncMessage:
 
 @dataclass
 class PeerState:
-    """A replica: its set, revision counter, log, and per-neighbor progress.
+    """A replica: its set, log, and per-neighbor progress.
 
-    rev counts every effectful operation ever applied here, local or remote.
+    log holds the TaggedOps applied here, local or remote, in the order they
+    were applied; position in it is the local order.
     applied_seqs is the peer's own coverage map (highest origin_seq handled
     per origin, itself included); it makes redelivery idempotent.
     """
 
     id: PeerId
     data: set
-    rev: int
-    log: list[LogEntry]
+    log: list[TaggedOp]
     neighbors: dict[PeerId, NeighborState]
     applied_seqs: dict[PeerId, int]
 
@@ -146,11 +139,10 @@ def init_peer(
     for n in neighbors:
         if n == peer_id or n in seen:
             raise DuplicateNeighbor(f"{peer_id}: duplicate neighbor {n}")
-        seen[n] = NeighborState(n)
+        seen[n] = NeighborState()
     return PeerState(
         id=peer_id,
         data=set(initial),
-        rev=0,
         log=[],
         neighbors=seen,
         applied_seqs={},
@@ -177,15 +169,14 @@ def local_update(peer: PeerState, intent: str, x: Element) -> Op | None:
     if op.is_nop:
         return None
     peer.data = set(core.apply_op(peer.data, op))
-    peer.rev += 1
     seq = peer.applied_seqs.get(peer.id, 0) + 1
     peer.applied_seqs[peer.id] = seq
-    peer.log.append(LogEntry(op, peer.id, seq, peer.rev))
+    peer.log.append(TaggedOp(op, peer.id, seq))
     return op
 
 
-def _element_tails(log, neighbor, acks, known) -> dict[Element, list[LogEntry]]:
-    """Per element, the run of log entries after the last one `neighbor` has.
+def _element_tails(log, neighbor, acks, known) -> dict[Element, list[int]]:
+    """Per element, the log positions after the last entry `neighbor` has.
 
     The neighbor has the entries it originated, those under `acks`, and
     those in `known` (the same intent under another tag).  Everything up to
@@ -194,8 +185,8 @@ def _element_tails(log, neighbor, acks, known) -> dict[Element, list[LogEntry]]:
     (the log is a valid sequence), so an even run nets to nothing and an odd
     run nets to its final op.
     """
-    tails: dict[Element, list[LogEntry]] = {}
-    for e in log:
+    tails: dict[Element, list[int]] = {}
+    for i, e in enumerate(log):
         if (
             e.origin == neighbor
             or e.origin_seq <= acks.get(e.origin, 0)
@@ -203,7 +194,7 @@ def _element_tails(log, neighbor, acks, known) -> dict[Element, list[LogEntry]]:
         ):
             tails[e.op.element] = []
         else:
-            tails.setdefault(e.op.element, []).append(e)
+            tails.setdefault(e.op.element, []).append(i)
     return tails
 
 
@@ -227,20 +218,25 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     tails = _element_tails(
         peer.log, neighbor, state.received_watermark, state.known_entries
     )
-    picked: list[LogEntry] = []
+    log = peer.log
+    offered = state.offered_entries
+    picked: list[int] = []
     for tail in tails.values():
         if not tail:
             continue
-        if any((e.origin, e.origin_seq) in state.offered_entries for e in tail):
+        if any((log[i].origin, log[i].origin_seq) in offered for i in tail):
             picked.extend(tail)
         elif len(tail) % 2 == 1:
             picked.append(tail[-1])
-    picked.sort(key=lambda e: e.local_rev)
-    state.offered_entries |= {(e.origin, e.origin_seq) for e in picked}
+    # Sorted tail positions give log order without a second scan: each origin's
+    # seqs must rise through a payload (split_message's ack caps, applied_seqs).
+    picked.sort()
+    payload = tuple(log[i] for i in picked)
+    offered |= {(t.origin, t.origin_seq) for t in payload}
     return SyncMessage(
         sender=peer.id,
         receiver=neighbor,
-        payload=tuple(TaggedOp(e.op, e.origin, e.origin_seq) for e in picked),
+        payload=payload,
         ack=dict(peer.applied_seqs),
     )
 
@@ -253,8 +249,8 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     a surviving delete/reinsert pair nets to nothing here and must not be
     matched against local operations.  The survivors are then rewritten
     against the per-element net of local log entries the sender had not
-    seen, and the non-Nop results are applied and logged under their
-    original origin tags, ready to propagate onward.  Stale or empty
+    seen; the entries whose op survives are applied and logged as received,
+    tags intact, ready to propagate onward.  Stale or empty
     messages are normal and return an empty tuple.  A message carrying an op
     that is not effectful here raises InvalidInsert or InvalidDelete and
     leaves the peer unchanged.
@@ -277,14 +273,13 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
         # entries whose intent the sender has not seen.  Twin-matched entries
         # count as seen; the sender holds the same intent under its own tag,
         # so its later ops are not concurrent with them.
+        # transform_remote reads kinds per element, so any order serves.
         tails = _element_tails(peer.log, msg.sender, msg.ack, state.known_entries)
-        survivors: dict[Element, LogEntry] = {}
+        survivors: dict[Element, TaggedOp] = {}
         for element, tail in tails.items():
             if len(tail) % 2 == 1:
-                survivors[element] = tail[-1]
-        unseen_by_sender = tuple(
-            e.op for e in sorted(survivors.values(), key=lambda e: e.local_rev)
-        )
+                survivors[element] = peer.log[tail[-1]]
+        unseen_by_sender = tuple(t.op for t in survivors.values())
         pending_ops = normalize(tuple(t.op for t in pending))
         rewritten = transform_remote(unseen_by_sender, pending_ops)
         # Normalized ops touch distinct elements, so each one can be checked
@@ -297,13 +292,11 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
                     )
                 raise InvalidDelete(f"{render_element(op.element)} not present")
 
+        # A rewrite only ever yields Nop, so a survivor is tagged.op itself.
         for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
             if not op.is_nop:
                 peer.data ^= {op.element}
-                peer.rev += 1
-                peer.log.append(
-                    LogEntry(op, tagged.origin, tagged.origin_seq, peer.rev)
-                )
+                peer.log.append(tagged)
                 applied.append(op)
             elif not norm_op.is_nop:
                 # Struck out as a duplicate: the sender owns the same intent,

@@ -205,7 +205,6 @@ class CheckOutcome:
 
 @dataclass
 class RunReport:
-    seed: int
     final_states: dict[str, frozenset]
     convergence: bool
     checks: tuple[CheckOutcome, ...]
@@ -367,7 +366,6 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
         for name, members in final_states.items()
     )
     return RunReport(
-        seed=seed,
         final_states=final_states,
         convergence=convergence,
         checks=tuple(checks),

@@ -166,6 +166,44 @@ def test_fuzz_rejects_empty_universe(universe, capsys):
     assert capsys.readouterr().err == "--universe must be at least 1\n"
 
 
+FUZZ_LIMITS = {
+    "--seeds": "at least 1",
+    "--ops": "at least 0",
+    "--density": "between 0 and 1",
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seeds", "0"),
+        ("--seeds", "-3"),
+        ("--ops", "-3"),
+        ("--density", "-1"),
+        ("--density", "7"),
+        ("--density", "nan"),
+    ],
+)
+def test_fuzz_rejects_out_of_range_input(flag, value, capsys):
+    # A run that would test nothing must not report a pass.
+    assert cli.main(["fuzz", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{flag} must be {FUZZ_LIMITS[flag]}\n"
+    assert captured.out == ""
+
+
+def test_fuzz_dump_into_a_plain_file_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "reference_run", lambda scenario: {})
+    blocker = tmp_path / "reports"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv("CCSS_REPORT_DIR", str(blocker))
+    assert cli.main(["fuzz", "--peers", "2", "--ops", "3", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("seed 1: cannot dump scenario: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+
+
 def test_fuzz_dump_is_rerunnable(tmp_path, monkeypatch, capsys):
     # Forced failure: ops after the last sync leave the peers apart.
     divergent = sim.Scenario(
@@ -182,11 +220,19 @@ def test_fuzz_dump_is_rerunnable(tmp_path, monkeypatch, capsys):
     dump = tmp_path / "fuzz-fail-seed1.scenario"
     assert dump.exists()
     # Re-running the dump reproduces the same final states byte for byte.
-    assert cli.main(["run", str(dump), "--seed", "1"]) == 0
+    assert cli.main(["run", str(dump)]) == 0
     rerun_out = capsys.readouterr().out
-    report = sim.run_scenario(divergent, seed=1)
+    report = sim.run_scenario(divergent, seed=0)
     assert rerun_out == sim.render_report(report)
     assert "CONVERGED false" in rerun_out
+
+
+def test_run_has_no_seed_option(tmp_path):
+    path = tmp_path / "s.scenario"
+    path.write_text("PEER P {}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(path), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_fuzz_fails_a_seed_the_replay_disagrees_with(tmp_path, monkeypatch, capsys):

@@ -48,7 +48,6 @@ def exchange(src, dst):
 def test_init_peer_fields():
     p = init_peer("P", frozenset({1, 2}), ("Q",))
     assert p.data == {1, 2}
-    assert p.rev == 0
     assert p.log == []
     assert set(p.neighbors) == {"Q"}
     assert p.neighbors["Q"].received_watermark == {}
@@ -76,18 +75,14 @@ def test_local_update_applies_and_logs():
     assert local_update(p, "insert", 3) == Op.insert(3)
     assert local_update(p, "delete", 3) == Op.delete(3)
     assert p.data == {1, 2}
-    assert p.rev == 2
-    assert [(e.op, e.origin, e.origin_seq, e.local_rev) for e in p.log] == [
-        (Op.insert(3), "P", 1, 1),
-        (Op.delete(3), "P", 2, 2),
-    ]
+    # The log holds the wire's records, in the order they were applied.
+    assert p.log == [TaggedOp(Op.insert(3), "P", 1), TaggedOp(Op.delete(3), "P", 2)]
 
 
 def test_local_update_no_effect_leaves_no_trace():
     p = init_peer("P", frozenset({1, 2}), ("Q",))
     assert local_update(p, "insert", 2) is None
     assert local_update(p, "delete", 9) is None
-    assert p.rev == 0
     assert p.log == []
     assert p.applied_seqs == {}
 
@@ -218,7 +213,12 @@ def test_two_peer_reconciliation():
     applied = exchange(q, p)
     assert applied == (Op.delete(2), Op.insert(3))
     assert p.data == {1, 3}
-    assert p.rev == 4
+    assert p.log == [
+        TaggedOp(Op.insert(3), "P", 1),
+        TaggedOp(Op.delete(3), "P", 2),
+        TaggedOp(Op.delete(2), "Q", 1),
+        TaggedOp(Op.insert(3), "Q", 2),
+    ]
 
 
 def test_handle_empty_payload_still_advances_watermarks():
@@ -237,18 +237,18 @@ def test_handle_redelivery_is_idempotent():
     local_update(p, "insert", 3)
     msg = prepare_sync(p, "Q")
     assert handle_sync(q, msg) == (Op.insert(3),)
-    before = (set(q.data), q.rev, list(q.log))
+    before = (set(q.data), list(q.log))
     assert handle_sync(q, msg) == ()
-    assert (set(q.data), q.rev, list(q.log)) == before
+    assert (set(q.data), list(q.log)) == before
     # Q's reply carries only its ack map; it settles what P offered and
     # changes nothing else at P.
     assert p.neighbors["Q"].offered_entries == {("P", 1)}
     reply = prepare_sync(q, "P")
     assert reply.payload == () and reply.ack == {"P": 1}
-    before = (set(p.data), p.rev, list(p.log))
+    before = (set(p.data), list(p.log))
     assert handle_sync(p, reply) == ()
     assert p.neighbors["Q"].offered_entries == set()
-    assert (set(p.data), p.rev, list(p.log)) == before
+    assert (set(p.data), list(p.log)) == before
 
 
 def test_handle_concurrent_same_op_strikes_duplicate():
@@ -284,14 +284,14 @@ def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
     local_update(q, "insert", 5)
     exchange(p, q)
     prepare_sync(p, "Q")  # offered, not yet acknowledged
-    before = copy.deepcopy((p.data, p.log, p.rev, p.applied_seqs, p.neighbors))
+    before = copy.deepcopy((p.data, p.log, p.applied_seqs, p.neighbors))
     # Crafted: Q's first op is fine on its own, its second is not effectful.
     crafted = SyncMessage(
         "Q", "P", (TaggedOp(Op.insert(3), "Q", 2), TaggedOp(bad, "Q", 3)), {"Q": 3}
     )
     with pytest.raises(error):
         handle_sync(p, crafted)
-    assert (p.data, p.log, p.rev, p.applied_seqs, p.neighbors) == before
+    assert (p.data, p.log, p.applied_seqs, p.neighbors) == before
 
 
 def test_echo_freedom():
@@ -445,7 +445,6 @@ def test_split_handling_matches_whole_message():
         handle_sync(pieces, segment)
 
     assert whole.data == pieces.data
-    assert whole.rev == pieces.rev
     assert whole.applied_seqs == pieces.applied_seqs
     assert whole.log == pieces.log
 
