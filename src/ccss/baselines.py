@@ -7,7 +7,7 @@ and the two-phase set tombstones every deleted element forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 Element = Hashable

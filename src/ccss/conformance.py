@@ -26,6 +26,9 @@ from .core import (
     render_op_seq,
 )
 
+# Enum members read off their class are slow; see `core._INSERT`.
+_INSERT, _DELETE = OpKind.INSERT, OpKind.DELETE
+
 
 @dataclass(frozen=True)
 class Universe:
@@ -52,11 +55,13 @@ def oracle_merge(
     """
     inserts = set()
     deletes = set()
-    for op in tuple(local_ops) + tuple(remote_ops):
-        if op.kind is OpKind.INSERT:
-            inserts.add(op.element)
-        elif op.kind is OpKind.DELETE:
-            deletes.add(op.element)
+    for ops in (local_ops, remote_ops):
+        for op in ops:
+            kind = op.kind
+            if kind is _INSERT:
+                inserts.add(op.element)
+            elif kind is _DELETE:
+                deletes.add(op.element)
     clash = inserts & deletes
     if clash:
         k = sorted(clash, key=core.element_sort_key)[0]
@@ -107,6 +112,10 @@ class ConfluenceFailure:
         )
 
 
+# A merge route's outcome: the merged set, or the error the route raised.
+_Route = ElementSet | core.CcssError
+
+
 @dataclass
 class ConfluenceReport:
     checked: int = 0
@@ -123,39 +132,56 @@ def check_confluence(universe: Universe, max_len: int) -> ConfluenceReport:
     For every ordered pair of valid sequences from the universe's base, the
     local-then-transformed-remote route, its mirror image, and the
     transformed-local route must all equal the oracle merge.
+
+    The route from `ps` with `qs` transformed after it is the mirror route
+    of the pair (qs, ps), so each is computed once, for an unordered pair,
+    and judged in both ordered pairs.  A route that raises keeps its error,
+    which is reported where the route is read.
     """
     seqs = enumerate_valid_seqs(universe, max_len)
     cached = []
     for seq in seqs:
         cached.append((seq, normalize(seq), apply_seq(universe.base, seq)))
-
-    report = ConfluenceReport()
     base = universe.base
-    for ps, nps, after_ps in cached:
-        for qs, nqs, after_qs in cached:
-            report.checked += 1
-            try:
-                merged_at_p = apply_seq(after_ps, core.transform_remote(nps, nqs))
-                merged_at_q = apply_seq(after_qs, core.transform_remote(nqs, nps))
-                rewritten_local = apply_seq(
-                    base, core.transform_local(nps, nqs) + nqs
-                )
-                expected = oracle_merge(base, nps, nqs)
-            except core.CcssError as exc:
-                report.failures.append(
-                    ConfluenceFailure(base, ps, qs, f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            if not (merged_at_p == merged_at_q == rewritten_local == expected):
-                report.failures.append(
-                    ConfluenceFailure(
-                        base,
-                        ps,
-                        qs,
-                        f"routes {render_element_set(merged_at_p)} / "
-                        f"{render_element_set(merged_at_q)} / "
-                        f"{render_element_set(rewritten_local)} "
-                        f"vs oracle {render_element_set(expected)}",
-                    )
-                )
-    return report
+
+    def route(p: int, q: int) -> _Route:
+        _, nps, after_ps = cached[p]
+        try:
+            return apply_seq(after_ps, core.transform_remote(nps, cached[q][1]))
+        except core.CcssError as exc:
+            return exc
+
+    found: list[tuple[int, int, ConfluenceFailure]] = []
+
+    def judge(p: int, q: int, at_p: _Route, at_q: _Route) -> None:
+        (ps, nps, _), (qs, nqs, _) = cached[p], cached[q]
+        try:
+            for merged in (at_p, at_q):
+                if isinstance(merged, core.CcssError):
+                    raise merged
+            rewritten_local = apply_seq(base, core.transform_local(nps, nqs) + nqs)
+            expected = oracle_merge(base, nps, nqs)
+        except core.CcssError as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+        else:
+            if at_p == at_q == rewritten_local == expected:
+                return
+            detail = (
+                f"routes {render_element_set(at_p)} / "
+                f"{render_element_set(at_q)} / "
+                f"{render_element_set(rewritten_local)} "
+                f"vs oracle {render_element_set(expected)}"
+            )
+        found.append((p, q, ConfluenceFailure(base, ps, qs, detail)))
+
+    for p in range(len(cached)):
+        own = route(p, p)
+        judge(p, p, own, own)
+        for q in range(p + 1, len(cached)):
+            at_p, at_q = route(p, q), route(q, p)
+            judge(p, q, at_p, at_q)
+            judge(q, p, at_q, at_p)
+    found.sort(key=lambda item: item[:2])
+    return ConfluenceReport(
+        checked=len(cached) ** 2, failures=[failure for _, _, failure in found]
+    )

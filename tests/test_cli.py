@@ -1,7 +1,5 @@
 """Command line behavior: exit codes, reports, env overrides, fuzz dumps."""
 
-import os
-
 import pytest
 
 from ccss import cli, core, peer, sim

@@ -2,13 +2,23 @@
 
 import pytest
 
+from ccss import conformance, core
 from ccss.conformance import (
     Universe,
     check_confluence,
     enumerate_valid_seqs,
     oracle_merge,
 )
-from ccss.core import NOP, DivergenceError, Op, validate_seq
+from ccss.core import (
+    NOP,
+    CcssError,
+    DivergenceError,
+    Op,
+    apply_seq,
+    normalize,
+    render_element_set,
+    validate_seq,
+)
 
 
 def test_universe_guards():
@@ -134,3 +144,71 @@ def test_confluence_failure_rendering():
     )
     text = str(failure)
     assert "base={1}" in text and "ps=[+2]" in text and "detail" in text
+
+
+def naive_confluence(universe, max_len):
+    # The sweep as one loop over ordered pairs, every route computed afresh.
+    base = universe.base
+    cached = [
+        (seq, normalize(seq), apply_seq(base, seq))
+        for seq in enumerate_valid_seqs(universe, max_len)
+    ]
+    checked = 0
+    failures = []
+    for ps, nps, after_ps in cached:
+        for qs, nqs, after_qs in cached:
+            checked += 1
+            try:
+                at_p = apply_seq(after_ps, core.transform_remote(nps, nqs))
+                at_q = apply_seq(after_qs, core.transform_remote(nqs, nps))
+                local = apply_seq(base, core.transform_local(nps, nqs) + nqs)
+                expected = oracle_merge(base, nps, nqs)
+            except CcssError as exc:
+                failures.append(
+                    conformance.ConfluenceFailure(
+                        base, ps, qs, f"{type(exc).__name__}: {exc}"
+                    )
+                )
+                continue
+            if not at_p == at_q == local == expected:
+                failures.append(
+                    conformance.ConfluenceFailure(
+                        base,
+                        ps,
+                        qs,
+                        f"routes {render_element_set(at_p)} / "
+                        f"{render_element_set(at_q)} / "
+                        f"{render_element_set(local)} "
+                        f"vs oracle {render_element_set(expected)}",
+                    )
+                )
+    return checked, [str(f) for f in failures]
+
+
+def _never_suppress(local_ops, remote_ops):
+    return tuple(remote_ops)
+
+
+def _suppress_everything(local_ops, remote_ops):
+    return tuple(NOP for _ in local_ops)
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("transform_remote", _never_suppress),
+        ("transform_local", _suppress_everything),
+    ],
+)
+def test_shared_routes_report_what_a_naive_loop_reports(monkeypatch, name, broken):
+    # Each route is computed once and judged in a pair and its mirror; under
+    # a broken transform the report must still match the per-pair loop.  The
+    # first bug makes routes raise, the second makes them disagree.
+    monkeypatch.setattr(core, name, broken)
+    for base in (frozenset(), frozenset({1}), frozenset({1, 2})):
+        universe = Universe((1, 2, 3), base)
+        report = check_confluence(universe, 3)
+        checked, expected = naive_confluence(universe, 3)
+        assert expected
+        assert report.checked == checked
+        assert [str(f) for f in report.failures] == expected

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from ccss.core import (
-    NOP,
     InvalidDelete,
     InvalidInsert,
     Op,

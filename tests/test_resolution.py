@@ -1,7 +1,7 @@
 """Last-write-wins resolution over replicated triple sets."""
 
 from ccss.core import Op, Triple
-from ccss.peer import handle_sync, init_peer, local_update, prepare_sync
+from ccss.peer import handle_sync, init_peer, prepare_sync
 from ccss.resolution import lww_insert, lww_resolve
 
 

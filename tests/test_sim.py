@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from ccss.core import Op, Triple
+from ccss.core import CcssError, Op, Triple
 from ccss.sim import (
     _IntentClasses,
     CheckEvent,
+    HealEvent,
     OpEvent,
+    PartitionEvent,
     PruneEvent,
     Scenario,
     ScenarioError,
-    SyncEvent,
     parse_scenario,
     random_workload,
     reference_run,
@@ -343,3 +344,62 @@ def test_unseen_matches_member_list_classes(seed):
                     [t for t in history if not old.known_to(t[1], known)]
                 )
                 assert new.unseen(history, root_known[reader]) == expected
+
+
+def _full_scan_unseen(self, history, known, start=0):
+    # The replay's scan before per-direction cursors: always from entry 0.
+    taken = set()
+    out = []
+    for entry in history:
+        root = self.find(entry[1])
+        if root not in known and root not in taken:
+            taken.add(root)
+            out.append(entry)
+    return out
+
+
+def _with_partitions(scenario, rng):
+    # Partitions (most of them healed later) and, on some seeds, unequal
+    # starting sets, which make the replay raise DivergenceError.
+    events = list(scenario.events)
+    for _ in range(rng.randint(0, 6)):
+        a, b = rng.choice(scenario.links)
+        heal_at = rng.randrange(len(events) + 1)
+        if rng.random() < 0.8:
+            events.insert(heal_at, HealEvent(a, b))
+        events.insert(rng.randrange(heal_at + 1), PartitionEvent(a, b))
+    peers = list(scenario.peers)
+    if rng.random() < 0.3:
+        k = rng.randrange(len(peers))
+        peers[k] = (peers[k][0], peers[k][1] ^ {rng.randint(1, 3)})
+    return Scenario(tuple(peers), scenario.links, tuple(events))
+
+
+def _replay(scenario):
+    try:
+        return reference_run(scenario)
+    except CcssError as exc:
+        return type(exc), str(exc)
+
+
+def test_reference_run_cursor_matches_full_scan(monkeypatch):
+    diverged = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        sc = _with_partitions(
+            random_workload(
+                rng.randint(2, 6),
+                rng.randint(3, 40),
+                rng.randint(0, 30),
+                rng.choice((0.1, 0.2, 0.4)),
+                seed,
+            ),
+            rng,
+        )
+        with_cursor = _replay(sc)
+        with monkeypatch.context() as m:
+            m.setattr(_IntentClasses, "unseen", _full_scan_unseen)
+            full_scan = _replay(sc)
+        assert with_cursor == full_scan, f"seed {seed}"
+        diverged += isinstance(with_cursor, tuple)
+    assert 0 < diverged < 200
