@@ -18,16 +18,14 @@ from .core import (
     Element,
     ElementSet,
     Op,
-    OpKind,
     OpSeq,
+    _DELETE,
+    _INSERT,
     apply_seq,
     normalize,
     render_element_set,
     render_op_seq,
 )
-
-# Enum members read off their class are slow; see `core._INSERT`.
-_INSERT, _DELETE = OpKind.INSERT, OpKind.DELETE
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,6 @@ def enumerate_valid_seqs(universe: Universe, max_len: int) -> list[OpSeq]:
     at each step inserts come before deletes and elements follow their
     universe order.
     """
-    order = {x: i for i, x in enumerate(universe.elements)}
-
     def step_ops(members: frozenset) -> list[Op]:
         inserts = [Op.insert(x) for x in universe.elements if x not in members]
         deletes = [Op.delete(x) for x in universe.elements if x in members]

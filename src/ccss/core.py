@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
 
 Element = Hashable
 ElementSet = frozenset
@@ -51,6 +51,11 @@ class OpKind(enum.Enum):
     NOP = "!"
 
 
+# Reading a member off an Enum class takes about 0.17 us on CPython 3.11,
+# longer than the rest of a step of `apply_seq`, so kinds are compared with these.
+_INSERT, _DELETE, _NOP = OpKind.INSERT, OpKind.DELETE, OpKind.NOP
+
+
 @dataclass(frozen=True)
 class Op:
     """One set operation.  Immutable; Nop carries no element."""
@@ -59,7 +64,7 @@ class Op:
     element: Element = None
 
     def __post_init__(self) -> None:
-        if self.kind is OpKind.NOP:
+        if self.kind is _NOP:
             if self.element is not None:
                 raise ValueError("Nop carries no element")
         elif self.element is None:
@@ -67,25 +72,21 @@ class Op:
 
     @staticmethod
     def insert(element: Element) -> "Op":
-        return Op(OpKind.INSERT, element)
+        return Op(_INSERT, element)
 
     @staticmethod
     def delete(element: Element) -> "Op":
-        return Op(OpKind.DELETE, element)
+        return Op(_DELETE, element)
 
     @property
     def is_nop(self) -> bool:
-        return self.kind is OpKind.NOP
+        return self.kind is _NOP
 
     def __str__(self) -> str:
         return render_op(self)
 
 
-NOP = Op(OpKind.NOP)
-
-# Reading a member off an Enum class takes about 0.13 us on CPython 3.11,
-# longer than the rest of a step of `apply_seq`, so hot loops read these.
-_INSERT, _DELETE = OpKind.INSERT, OpKind.DELETE
+NOP = Op(_NOP)
 
 OpSeq = tuple[Op, ...]
 
@@ -112,24 +113,33 @@ class Triple:
 
 def is_valid(members: AbstractSet[Element], op: Op) -> bool:
     """True when `op` applied to `members` would be effectful (or is Nop)."""
-    if op.kind is OpKind.NOP:
+    if op.kind is _NOP:
         return True
-    if op.kind is OpKind.INSERT:
+    if op.kind is _INSERT:
         return op.element not in members
     return op.element in members
+
+
+def ineffective(op: Op, index: int | None = None) -> InvalidInsert | InvalidDelete:
+    """The error for a non-effectful op; `index` is its place in a sequence."""
+    where = "" if index is None else f"op {index}: "
+    if op.kind is _INSERT:
+        err = InvalidInsert(f"{where}{render_element(op.element)} already present")
+    else:
+        err = InvalidDelete(f"{where}{render_element(op.element)} not present")
+    err.index = index
+    return err
 
 
 def apply_op(members: Iterable[Element], op: Op) -> ElementSet:
     """Apply one operation, insisting on effectfulness."""
     members = frozenset(members)
-    if op.kind is OpKind.NOP:
+    if not is_valid(members, op):
+        raise ineffective(op)
+    if op.kind is _NOP:
         return members
-    if op.kind is OpKind.INSERT:
-        if op.element in members:
-            raise InvalidInsert(f"{render_element(op.element)} already present")
+    if op.kind is _INSERT:
         return members | {op.element}
-    if op.element not in members:
-        raise InvalidDelete(f"{render_element(op.element)} not present")
     return members - {op.element}
 
 
@@ -162,19 +172,11 @@ def apply_seq(members: Iterable[Element], seq: Sequence[Op]) -> ElementSet:
         kind = op.kind
         if kind is _INSERT:
             if op.element in current:
-                err = InvalidInsert(
-                    f"op {i}: {render_element(op.element)} already present"
-                )
-                err.index = i
-                raise err
+                raise ineffective(op, i)
             current.add(op.element)
         elif kind is _DELETE:
             if op.element not in current:
-                err = InvalidDelete(
-                    f"op {i}: {render_element(op.element)} not present"
-                )
-                err.index = i
-                raise err
+                raise ineffective(op, i)
             current.remove(op.element)
     return frozenset(current)
 
@@ -272,6 +274,17 @@ def _split_top(text: str, sep: str = ",") -> list[str]:
     return parts
 
 
+def parse_list(text: str, brackets: str, parse_item: Callable, what: str) -> list:
+    """Items of a comma-separated list in `brackets`, each read by `parse_item`."""
+    text = text.strip()
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise ValueError(f"malformed {what}: {text!r}")
+    inner = text[1:-1].strip()
+    if not inner:
+        return []
+    return [parse_item(part) for part in _split_top(inner)]
+
+
 _TOKEN_RE = re.compile(r"[^\s,()\[\]{}]+")
 
 
@@ -333,7 +346,7 @@ def element_sort_key(x: Element) -> tuple:
 
 
 def render_op(op: Op) -> str:
-    if op.kind is OpKind.NOP:
+    if op.kind is _NOP:
         return "!"
     return op.kind.value + render_element(op.element)
 
@@ -352,13 +365,7 @@ def render_op_seq(seq: Sequence[Op]) -> str:
 
 
 def parse_op_seq(text: str) -> OpSeq:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"malformed op sequence: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return tuple(parse_op(part) for part in _split_top(inner))
+    return tuple(parse_list(text, "[]", parse_op, "op sequence"))
 
 
 def render_element_set(members: Iterable[Element]) -> str:
@@ -367,10 +374,4 @@ def render_element_set(members: Iterable[Element]) -> str:
 
 
 def parse_element_set(text: str) -> ElementSet:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"malformed set: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    return frozenset(parse_element(part) for part in _split_top(inner))
+    return frozenset(parse_list(text, "{}", parse_element, "set"))

@@ -37,18 +37,16 @@ from . import core
 from .core import (
     CcssError,
     Element,
-    InvalidDelete,
-    InvalidInsert,
     Op,
-    OpKind,
     OpSeq,
+    ineffective,
     is_valid,
     is_wire_element,
     make_delete,
     make_insert,
     normalize,
+    parse_list,
     parse_op,
-    render_element,
     render_op,
     transform_remote,
 )
@@ -158,7 +156,7 @@ def local_update(peer: PeerState, intent: str, x: Element) -> Op | None:
     the wire cannot carry intact (see `core.is_wire_element`) is refused
     with ValueError.
     """
-    if type(x) is not int and not is_wire_element(x):
+    if not is_wire_element(x):
         raise ValueError(f"element cannot cross the wire: {x!r}")
     if intent == "insert":
         op = make_insert(peer.data, x)
@@ -286,11 +284,7 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
         # against the unchanged set before anything is mutated.
         for op in rewritten:
             if not is_valid(peer.data, op):
-                if op.kind is OpKind.INSERT:
-                    raise InvalidInsert(
-                        f"{render_element(op.element)} already present"
-                    )
-                raise InvalidDelete(f"{render_element(op.element)} not present")
+                raise ineffective(op)
 
         # A rewrite only ever yields Nop, so a survivor is tagged.op itself.
         for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
@@ -430,22 +424,17 @@ def parse_sync_message(line: str) -> SyncMessage:
                 raise ValueError(f"malformed ack item: {item!r}")
             ack[origin] = int(seq)
 
-    ops_text = values["ops"]
-    if not (ops_text.startswith("[") and ops_text.endswith("]")):
-        raise ValueError(f"malformed ops list: {ops_text!r}")
-    payload: list[TaggedOp] = []
-    inner = ops_text[1:-1]
-    if inner:
-        for item in core._split_top(inner):
-            body, at, tag = item.rpartition("@")
-            origin, _, seq = tag.rpartition(":")
-            if not at or not origin or not seq.isdigit():
-                raise ValueError(f"malformed payload item: {item!r}")
-            payload.append(TaggedOp(parse_op(body), origin, int(seq)))
-
     return SyncMessage(
         sender=values["from"],
         receiver=values["to"],
-        payload=tuple(payload),
+        payload=tuple(parse_list(values["ops"], "[]", _parse_tagged, "ops list")),
         ack=ack,
     )
+
+
+def _parse_tagged(item: str) -> TaggedOp:
+    body, at, tag = item.rpartition("@")
+    origin, _, seq = tag.rpartition(":")
+    if not at or not origin or not seq.isdigit():
+        raise ValueError(f"malformed payload item: {item!r}")
+    return TaggedOp(parse_op(body), origin, int(seq))

@@ -209,8 +209,6 @@ class RunReport:
     convergence: bool
     checks: tuple[CheckOutcome, ...]
     ops_applied: int
-    ops_no_effect: int
-    messages_sent: int
     messages_delivered: int
     messages_dropped: int
 
@@ -308,8 +306,6 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
     link_up = {_link_key(a, b): True for a, b in scenario.links}
 
     ops_applied = 0
-    ops_no_effect = 0
-    messages_sent = 0
     messages_delivered = 0
     messages_dropped = 0
     checks: list[CheckOutcome] = []
@@ -322,11 +318,8 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
                 )
                 if applied is not None:
                     ops_applied += 1
-                else:
-                    ops_no_effect += 1
             elif isinstance(event, SyncEvent):
                 message = peermod.prepare_sync(peers[event.src], event.dst)
-                messages_sent += 1
                 if not link_up[_link_key(event.src, event.dst)]:
                     messages_dropped += 1
                     continue
@@ -370,8 +363,6 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
         convergence=convergence,
         checks=tuple(checks),
         ops_applied=ops_applied,
-        ops_no_effect=ops_no_effect,
-        messages_sent=messages_sent,
         messages_delivered=messages_delivered,
         messages_dropped=messages_dropped,
     )

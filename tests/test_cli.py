@@ -233,12 +233,24 @@ def test_run_has_no_seed_option(tmp_path):
     assert exc.value.code == 2
 
 
-def test_fuzz_fails_a_seed_the_replay_disagrees_with(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sim, "reference_run", lambda scenario: {})
+def _raise_invalid_insert(scenario, seed):
+    raise core.ineffective(core.Op.insert(1))
+
+
+@pytest.mark.parametrize(
+    "call, fake, detail",
+    [
+        ("reference_run", lambda scenario: {}, "differs from reference_run"),
+        ("run_scenario", _raise_invalid_insert, "1 already present"),
+    ],
+    ids=["replay-disagrees", "run-raises"],
+)
+def test_fuzz_fails_a_bad_seed(call, fake, detail, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, call, fake)
     monkeypatch.setenv("CCSS_REPORT_DIR", str(tmp_path))
     assert cli.main(["fuzz", "--peers", "2", "--ops", "3", "--seeds", "1"]) == 1
     out = capsys.readouterr().out
-    assert "seed 1: FAILED (differs from reference_run), scenario dumped" in out
+    assert f"seed 1: FAILED ({detail}), scenario dumped" in out
     assert "seeds=1 failed=1" in out
     dump = tmp_path / "fuzz-fail-seed1.scenario"
     scenario = sim.random_workload(

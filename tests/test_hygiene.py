@@ -1,4 +1,4 @@
-"""Source hygiene: every imported name is read somewhere in its file."""
+"""Source hygiene: every imported name and every plain local is read."""
 
 import ast
 from pathlib import Path
@@ -49,6 +49,47 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func: ast.FunctionDef):
+    """The nodes of a function body, not descending into nested scopes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list[str]:
+    """Function locals a plain `name = ...` binds and nothing reads.
+
+    A read anywhere in the function counts, nested functions included.
+    Tuple-unpacking targets, `_` names and names declared `global` or
+    `nonlocal` are exempt.  An augmented assignment (`n += 1`) is not a read.
+    """
+    found: list[tuple[int, str]] = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        bound: dict[str, int] = {}
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                        bound.setdefault(target.id, node.lineno)
+        found += [(line, name) for name, line in bound.items() if name not in read]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 def test_sources_are_found():
     assert "src/ccss/core.py" in SOURCES
     assert "tests/test_hygiene.py" in SOURCES
@@ -57,6 +98,11 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES)
 def test_every_import_is_used(path):
     assert unused_imports((ROOT / path).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_every_local_is_read(path):
+    assert dead_locals((ROOT / path).read_text(encoding="utf-8")) == []
 
 
 def test_the_scan_sees_what_it_should():
@@ -76,4 +122,34 @@ def k(x: i) -> None:
         "line 3: osp",
         "line 4: b",
         "line 4: d",
+    ]
+
+
+def test_the_dead_local_scan_sees_what_it_should():
+    source = """\
+counter = 0
+def f(items):
+    global counter
+    counter = 1
+    unused = len(items)
+    chained = also_unused = 2
+    first, rest = items[0], items[1:]
+    _ignored = 3
+    used = 4
+    total = 0
+    total += used
+    def inner():
+        nonlocal used
+        used = 5
+        late = 6
+        return chained
+    return inner
+class C:
+    attribute = 7
+"""
+    assert dead_locals(source) == [
+        "line 5: unused",
+        "line 6: also_unused",
+        "line 10: total",
+        "line 15: late",
     ]

@@ -28,6 +28,7 @@ from ccss.peer import (
     prune_log,
     split_message,
 )
+from ccss.sim import parse_scenario, reference_run, run_scenario
 
 
 def make_pair(initial=frozenset({1, 2})):
@@ -218,6 +219,26 @@ def test_two_peer_reconciliation():
         TaggedOp(Op.delete(2), "Q", 1),
         TaggedOp(Op.insert(3), "Q", 2),
     ]
+
+
+def test_merge_works_on_net_effects():
+    # From {1}, P deletes 1 while Q deletes and reinserts it.  Q's pair nets
+    # to nothing, so P's concurrent delete meets no reinsertion: both end at
+    # {}.  The simulator and the independent replay agree.
+    p, q = make_pair(frozenset({1}))
+    local_update(p, "delete", 1)
+    local_update(q, "delete", 1)
+    local_update(q, "insert", 1)
+    exchange(p, q)
+    exchange(q, p)
+    assert p.data == q.data == set()
+
+    sc = parse_scenario(
+        "PEER P {1}\nPEER Q {1}\nLINK P Q\n"
+        "OP P delete 1\nOP Q delete 1\nOP Q insert 1\nSYNC P Q\nSYNC Q P\n"
+    )
+    empty = {"P": frozenset(), "Q": frozenset()}
+    assert run_scenario(sc, seed=0).final_states == reference_run(sc) == empty
 
 
 def test_handle_empty_payload_still_advances_watermarks():
@@ -514,6 +535,7 @@ def test_wire_rejects_malformed_lines():
         "MSG from=P to=Q ack=",
         "MSG from=P to=Q ack=P ops=[]",
         "MSG from=P to=Q ack= ops=[+3]",
+        "MSG from=P to=Q ack= ops=+3@P:1",
         "MSG from=P to=Q ops= ack=[]",
         "PKT from=P to=Q ack= ops=[]",
     ):

@@ -12,8 +12,10 @@ from ccss.sim import (
     OpEvent,
     PartitionEvent,
     PruneEvent,
+    ResolveEvent,
     Scenario,
     ScenarioError,
+    SyncEvent,
     parse_scenario,
     random_workload,
     reference_run,
@@ -57,8 +59,12 @@ def test_parse_scenario_structure():
 
 
 def test_render_parse_round_trip():
-    sc = parse_scenario(RECONNECT)
-    assert parse_scenario(render_scenario(sc)) == sc
+    every_directive = RECONNECT + (
+        "OP P insert (a,7,1)\nRESOLVE P\nPRUNE Q\nCHECK P {1,3,(a,7,1)}\n"
+    )
+    for text in (RECONNECT, every_directive):
+        sc = parse_scenario(text)
+        assert parse_scenario(render_scenario(sc)) == sc
 
 
 def test_parse_triple_elements():
@@ -267,6 +273,45 @@ def test_reference_run_matches_randomized_workloads():
         report = run_scenario(sc, seed=seed)
         assert report.convergence, f"seed {seed} did not converge"
         assert reference_run(sc) == report.final_states, f"seed {seed} differs"
+
+
+def _lww_workload(seed):
+    """A tree of 2-4 peers inserting, deleting and resolving triples."""
+    rng = random.Random(seed)
+    names = [f"P{i}" for i in range(1, rng.randint(2, 4) + 1)]
+    links = tuple((names[rng.randrange(i)], names[i]) for i in range(1, len(names)))
+    events = []
+    for _ in range(rng.randint(4, 16)):
+        roll = rng.random()
+        if roll < 0.6:
+            triple = Triple(rng.choice("ab"), rng.randint(1, 2), rng.randint(1, 3))
+            intent = rng.choice(("insert", "insert", "delete"))
+            events.append(OpEvent(rng.choice(names), intent, triple))
+        elif roll < 0.75:
+            events.append(ResolveEvent(rng.choice(names)))
+        else:
+            a, b = rng.choice(links)
+            events.append(SyncEvent(a, b) if rng.random() < 0.5 else SyncEvent(b, a))
+    for _ in names:
+        for a, b in links:
+            events += [SyncEvent(a, b), SyncEvent(b, a)]
+    return Scenario(tuple((name, frozenset()) for name in names), links, tuple(events))
+
+
+def test_reference_run_matches_lww_workloads():
+    resolving = 0
+    for seed in range(200):
+        sc = _lww_workload(seed)
+        expected = reference_run(sc)
+        assert expected == run_scenario(sc, seed).final_states, f"seed {seed}"
+        unresolved = Scenario(
+            sc.peers,
+            sc.links,
+            tuple(e for e in sc.events if not isinstance(e, ResolveEvent)),
+        )
+        resolving += reference_run(unresolved) != expected
+    # The RESOLVE events decide the outcome of a share of the seeds.
+    assert resolving >= 10
 
 
 class _MemberListClasses:
