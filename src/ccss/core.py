@@ -287,25 +287,19 @@ def parse_list(text: str, brackets: str, parse_item: Callable, what: str) -> lis
 
 _TOKEN_RE = re.compile(r"[^\s,()\[\]{}]+")
 
+# The parser recurses once per nested triple, so an element holding more is
+# refused before it can exhaust the interpreter's stack.
+_MAX_TRIPLES = 100
+
 
 def is_wire_element(x: Element) -> bool:
-    """True when the canonical text carries `x` intact, alone or in a list.
-
-    That holds for integers (not bools), plain tokens (non-empty strings
-    without whitespace, commas or brackets that do not read as an integer),
-    and triples of those with an integer stamp.  Anything else would be
-    turned into another element or break the list it is written in.
-    """
+    """True when the canonical text carries `x` intact: it parses back to `x`."""
     if type(x) is int:
         return True
-    if type(x) is str:
-        return bool(_TOKEN_RE.fullmatch(x)) and not _INT_RE.fullmatch(x)
-    return (
-        type(x) is Triple
-        and type(x.stamp) is int
-        and is_wire_element(x.value)
-        and is_wire_element(x.key)
-    )
+    try:
+        return parse_element(render_element(x)) == x
+    except ValueError:
+        return False
 
 
 def render_element(x: Element) -> str:
@@ -315,21 +309,27 @@ def render_element(x: Element) -> str:
 
 
 def parse_element(text: str) -> Element:
-    """Inverse of render_element for integers, plain tokens, and triples."""
+    """Inverse of render_element: an integer, a plain token or a triple.
+
+    A plain token has no whitespace, commas or brackets and is not an
+    integer.  Other text raises ValueError.
+    """
     text = text.strip()
-    if not text:
-        raise ValueError("empty element")
     if _INT_RE.fullmatch(text):
         return int(text)
-    if text.startswith("(") and text.endswith(")"):
-        parts = _split_top(text[1:-1])
-        if len(parts) != 3:
-            raise ValueError(f"malformed triple: {text!r}")
-        value, key, stamp = (p.strip() for p in parts)
-        if not _INT_RE.fullmatch(stamp):
-            raise ValueError(f"triple timestamp must be an integer: {text!r}")
-        return Triple(parse_element(value), parse_element(key), int(stamp))
-    return text
+    if _TOKEN_RE.fullmatch(text):
+        return text
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ValueError(f"malformed element: {text!r}")
+    if text.count("(") > _MAX_TRIPLES:
+        raise ValueError(f"element holds more than {_MAX_TRIPLES} triples")
+    parts = _split_top(text[1:-1])
+    if len(parts) != 3:
+        raise ValueError(f"malformed triple: {text!r}")
+    value, key, stamp = (p.strip() for p in parts)
+    if not _INT_RE.fullmatch(stamp):
+        raise ValueError(f"triple timestamp must be an integer: {text!r}")
+    return Triple(parse_element(value), parse_element(key), int(stamp))
 
 
 def element_sort_key(x: Element) -> tuple:

@@ -11,7 +11,7 @@ make a later sync resend what was lost.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import core, peer as peermod, resolution
 from .core import (
@@ -101,91 +101,79 @@ def _link_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _declaration(*values: object) -> tuple:
+    return values
+
+
+# The scenario language, one row per directive: the list a line joins, what
+# it builds from its fields, and its usage, one slot per field.  A `<set>` or
+# `<element>` slot is read as one, an `a|b` slot must be one of those words,
+# and any other slot is a name.
+_DIRECTIVES = {
+    "PEER": ("peer", _declaration, "<id> <set>"),
+    "LINK": ("link", _declaration, "<a> <b>"),
+    "OP": ("event", OpEvent, "<peer> insert|delete <element>"),
+    "SYNC": ("event", SyncEvent, "<a> <b>"),
+    "PARTITION": ("event", PartitionEvent, "<a> <b>"),
+    "HEAL": ("event", HealEvent, "<a> <b>"),
+    "RESOLVE": ("event", ResolveEvent, "<peer>"),
+    "PRUNE": ("event", PruneEvent, "<peer>"),
+    "CHECK": ("event", CheckEvent, "<peer> <set>"),
+}
+_READERS = {"<set>": parse_element_set, "<element>": parse_element}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError with the offending line.
 
     Declarations are order-free: a LINK may precede the PEER lines it names.
     """
-    peers: list[tuple[str, frozenset]] = []
-    links: list[tuple[str, str]] = []
-    events: list[Event] = []
+    built: dict[str, list] = {"peer": [], "link": [], "event": []}
     lines: dict[tuple[str, int], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        word = fields[0]
+        word, *texts = line.split()
+        if word not in _DIRECTIVES:
+            raise ScenarioError(f"unknown directive {word}", lineno)
+        kind, build, usage = _DIRECTIVES[word]
+        slots = usage.split()
+        if len(texts) != len(slots) or any(
+            "|" in slot and t not in slot.split("|") for slot, t in zip(slots, texts)
+        ):
+            raise ScenarioError(f"expected: {word} {usage}", lineno)
         try:
-            if word == "PEER":
-                if len(fields) != 3:
-                    raise ScenarioError("expected: PEER <id> <set>", lineno)
-                lines["peer", len(peers)] = lineno
-                peers.append((fields[1], parse_element_set(fields[2])))
-                continue
-            if word == "LINK":
-                if len(fields) != 3:
-                    raise ScenarioError("expected: LINK <a> <b>", lineno)
-                lines["link", len(links)] = lineno
-                links.append((fields[1], fields[2]))
-                continue
-            if word == "OP":
-                if len(fields) != 4 or fields[2] not in ("insert", "delete"):
-                    raise ScenarioError(
-                        "expected: OP <peer> insert|delete <element>", lineno
-                    )
-                event = OpEvent(fields[1], fields[2], parse_element(fields[3]))
-            elif word in ("SYNC", "PARTITION", "HEAL"):
-                if len(fields) != 3:
-                    raise ScenarioError(f"expected: {word} <a> <b>", lineno)
-                cls = {"SYNC": SyncEvent, "PARTITION": PartitionEvent, "HEAL": HealEvent}
-                event = cls[word](fields[1], fields[2])
-            elif word in ("RESOLVE", "PRUNE"):
-                if len(fields) != 2:
-                    raise ScenarioError(f"expected: {word} <peer>", lineno)
-                cls = {"RESOLVE": ResolveEvent, "PRUNE": PruneEvent}
-                event = cls[word](fields[1])
-            elif word == "CHECK":
-                if len(fields) != 3:
-                    raise ScenarioError("expected: CHECK <peer> <set>", lineno)
-                event = CheckEvent(fields[1], parse_element_set(fields[2]))
-            else:
-                raise ScenarioError(f"unknown directive {word}", lineno)
+            values = [_READERS.get(slot, str)(t) for slot, t in zip(slots, texts)]
         except ValueError as exc:
             raise ScenarioError(str(exc), lineno) from exc
-        lines["event", len(events)] = lineno
-        events.append(event)
+        lines[kind, len(built[kind])] = lineno
+        built[kind].append(build(*values))
 
-    if not peers:
+    if not built["peer"]:
         raise ScenarioError("scenario declares no peers", line=1)
-    scenario = Scenario(tuple(peers), tuple(links), tuple(events))
+    scenario = Scenario(*(tuple(built[kind]) for kind in ("peer", "link", "event")))
     _validate(scenario, lines)
     return scenario
 
 
+def _render_line(word: str, values) -> str:
+    texts = (
+        (render_element_set if slot == "<set>" else render_element)(value)
+        for slot, value in zip(_DIRECTIVES[word][2].split(), values)
+    )
+    return " ".join([word, *texts])
+
+
 def render_event(event: Event) -> str:
-    if isinstance(event, OpEvent):
-        return f"OP {event.peer} {event.intent} {render_element(event.element)}"
-    if isinstance(event, SyncEvent):
-        return f"SYNC {event.src} {event.dst}"
-    if isinstance(event, PartitionEvent):
-        return f"PARTITION {event.a} {event.b}"
-    if isinstance(event, HealEvent):
-        return f"HEAL {event.a} {event.b}"
-    if isinstance(event, ResolveEvent):
-        return f"RESOLVE {event.peer}"
-    if isinstance(event, PruneEvent):
-        return f"PRUNE {event.peer}"
-    return f"CHECK {event.peer} {render_element_set(event.expected)}"
+    word = next(word for word, row in _DIRECTIVES.items() if row[1] is type(event))
+    return _render_line(word, [getattr(event, f.name) for f in fields(event)])
 
 
 def render_scenario(scenario: Scenario) -> str:
-    lines = [
-        f"PEER {name} {render_element_set(initial)}"
-        for name, initial in scenario.peers
-    ]
-    lines.extend(f"LINK {a} {b}" for a, b in scenario.links)
+    lines = [_render_line("PEER", peer) for peer in scenario.peers]
+    lines.extend(_render_line("LINK", link) for link in scenario.links)
     lines.extend(render_event(e) for e in scenario.events)
     return "\n".join(lines) + "\n"
 
@@ -239,13 +227,19 @@ def _validate(
     def fail(message: str, kind: str, index: int) -> None:
         raise ScenarioError(message, lines.get((kind, index)) if lines else None)
 
+    def check_elements(members, kind: str, index: int) -> None:
+        for x in members:
+            if not core.is_wire_element(x):
+                fail(f"element {x!r} cannot cross the wire", kind, index)
+
     declared: set[str] = set()
-    for i, (name, _) in enumerate(scenario.peers):
+    for i, (name, initial) in enumerate(scenario.peers):
         if not peermod._PEER_ID_RE.fullmatch(name):
             fail(f"bad peer id {name}", "peer", i)
         if name in declared:
             fail(f"duplicate peer {name}", "peer", i)
         declared.add(name)
+        check_elements(initial, "peer", i)
 
     # Union-find: a link joining two already connected peers closes a cycle.
     parent = {name: name for name in declared}
@@ -280,8 +274,10 @@ def _validate(
                 fail(f"no link between {pair[0]} and {pair[1]}", "event", i)
         elif event.peer not in declared:
             fail(f"undeclared peer {event.peer}", "event", i)
-        elif isinstance(event, OpEvent) and not core.is_wire_element(event.element):
-            fail(f"element {event.element!r} cannot cross the wire", "event", i)
+        elif isinstance(event, OpEvent):
+            check_elements((event.element,), "event", i)
+        elif isinstance(event, CheckEvent):
+            check_elements(event.expected, "event", i)
     return {name: root(name) for name in declared}
 
 

@@ -81,6 +81,29 @@ def test_run_rejects_unparsable_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: line 4:")
 
 
+# A triple 1200 levels deep, more than the interpreter's stack allows.
+DEEP_TRIPLE = "(" * 1200 + "a" + ",k,1)" * 1200
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # `(a,k,1)x` is neither a plain token nor a triple.
+        "PEER P {((a,k,1)x,k,1),(b,k,2)}\nRESOLVE P\n",
+        "PEER P {" + DEEP_TRIPLE + "}\n",
+    ],
+    ids=["unbalanced-triple", "deep-triple"],
+)
+def test_run_refuses_bad_elements_in_one_line(text, tmp_path, capsys):
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 1: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_writes_report_file(scenario_file, tmp_path, capsys):
     report = tmp_path / "out" / "report.txt"
     report.parent.mkdir()
@@ -126,9 +149,18 @@ def test_conformance_default_sweep_clean(capsys):
 
 
 def test_conformance_guard_rails(capsys):
-    assert cli.main(["conformance", "--universe", "6"]) == 2
-    assert cli.main(["conformance", "--max-len", "5"]) == 2
-    assert cli.main(["conformance", "--universe", "2", "--base-bits", "3"]) == 2
+    for argv, message in (
+        (["--universe", "6"], "--universe must be between 1 and 5"),
+        (["--max-len", "5"], "--max-len must be between 0 and 4"),
+        (
+            ["--universe", "2", "--base-bits", "3"],
+            "--base-bits must be between 0 and --universe",
+        ),
+    ):
+        assert cli.main(["conformance", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
 
 
 def test_conformance_catches_broken_transform(monkeypatch, capsys):

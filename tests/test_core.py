@@ -271,6 +271,18 @@ def test_triple_rendering_round_trip():
         parse_element("")
 
 
+def test_parse_element_refuses_text_it_cannot_read():
+    for bad in ("(2,x", "a)b", "((a,k,1)x,k,1)", "a b", "x]", ""):
+        with pytest.raises(ValueError, match="malformed element"):
+            parse_element(bad)
+    # The parser recurses once per triple, so it refuses more than 100.
+    nested = "(" * 100 + "a" + ",k,1)" * 100
+    assert render_element(parse_element(nested)) == nested
+    deep = "(" * 1200 + "a" + ",k,1)" * 1200
+    with pytest.raises(ValueError, match="more than 100 triples"):
+        parse_element(deep)
+
+
 def test_mixed_element_rendering_is_stable():
     members = {2, 1, "z", "a"}
     assert render_element_set(members) == "{1,2,a,z}"

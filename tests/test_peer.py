@@ -536,6 +536,8 @@ def test_wire_rejects_malformed_lines():
         "MSG from=P to=Q ack=P ops=[]",
         "MSG from=P to=Q ack= ops=[+3]",
         "MSG from=P to=Q ack= ops=+3@P:1",
+        # A triple nested deeper than the interpreter's stack allows.
+        "MSG from=P to=Q ack= ops=[+" + "(" * 1200 + "a" + ",k,1)" * 1200 + "@P:1]",
         "MSG from=P to=Q ops= ack=[]",
         "PKT from=P to=Q ack= ops=[]",
     ):

@@ -74,28 +74,47 @@ def test_parse_triple_elements():
     assert sc.events[0].element == Triple("a", 7, 1)
 
 
+# Each bad text, with the line it fails on and the message it fails with.
+PARSE_ERRORS = {
+    "PEER P {1}\nLINK P Q\n": (2, "undeclared peer Q"),
+    "PEER P {1}\nPEER P {2}\n": (2, "duplicate peer P"),
+    "PEER P {1}\nOP P upsert 3\n": (
+        2,
+        "expected: OP <peer> insert|delete <element>",
+    ),
+    "PEER P {1}\nPEER Q {}\nSYNC P Q\n": (3, "no link between P and Q"),
+    "PEER P {1}\nPEER Q {}\nLINK P Q\nLINK Q P\n": (4, "duplicate link Q P"),
+    "PEER P {1}\nCHECK P 1,3\n": (2, "malformed set: '1,3'"),
+    "PEER P {1}\nBOUNCE P\n": (2, "unknown directive BOUNCE"),
+    "PEER P {1}\nLINK P P\n": (2, "link from P to itself"),
+    "PEER P {1}\nPEER Q@x {}\n": (2, "bad peer id Q@x"),
+    "PEER P {1}\nPEER Q {1}\nLINK P Q\nOP P insert a,b\n": (
+        4,
+        "malformed element: 'a,b'",
+    ),
+    "PEER P {1}\nOP P delete x]\n": (2, "malformed element: 'x]'"),
+    "": (1, "scenario declares no peers"),
+    # One wrong field count per usage text, and an event's undeclared peer.
+    "PEER P {1} x\n": (1, "expected: PEER <id> <set>"),
+    "PEER P {1}\nLINK P\n": (2, "expected: LINK <a> <b>"),
+    "PEER P {1}\nPEER Q {}\nLINK P Q\nSYNC P\n": (4, "expected: SYNC <a> <b>"),
+    "PEER P {1}\nPARTITION P Q R\n": (2, "expected: PARTITION <a> <b>"),
+    "PEER P {1}\nHEAL P\n": (2, "expected: HEAL <a> <b>"),
+    "PEER P {1}\nRESOLVE\n": (2, "expected: RESOLVE <peer>"),
+    "PEER P {1}\nPRUNE P Q\n": (2, "expected: PRUNE <peer>"),
+    "PEER P {1}\nCHECK P\n": (2, "expected: CHECK <peer> <set>"),
+    "PEER P {}\nPRUNE Q\n": (2, "undeclared peer Q"),
+}
+
+
 @pytest.mark.parametrize(
-    "text,line",
-    [
-        ("PEER P {1}\nLINK P Q\n", 2),
-        ("PEER P {1}\nPEER P {2}\n", 2),
-        ("PEER P {1}\nOP P upsert 3\n", 2),
-        ("PEER P {1}\nPEER Q {}\nSYNC P Q\n", 3),
-        ("PEER P {1}\nPEER Q {}\nLINK P Q\nLINK Q P\n", 4),
-        ("PEER P {1}\nCHECK P 1,3\n", 2),
-        ("PEER P {1}\nBOUNCE P\n", 2),
-        ("PEER P {1}\nLINK P P\n", 2),
-        ("PEER P {1}\nPEER Q@x {}\n", 2),
-        ("PEER P {1}\nPEER Q {1}\nLINK P Q\nOP P insert a,b\n", 4),
-        ("PEER P {1}\nOP P delete x]\n", 2),
-        ("", 1),
-    ],
+    "text,line", [(text, line) for text, (line, _) in PARSE_ERRORS.items()]
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text)
     assert info.value.line == line
-    assert f"line {line}:" in str(info.value)
+    assert str(info.value) == f"line {line}: {PARSE_ERRORS[text][1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +210,17 @@ def test_elements_the_wire_cannot_carry_are_rejected():
         sc = Scenario((("P", frozenset()),), (), (OpEvent("P", "insert", x),))
         with pytest.raises(ScenarioError):
             run_scenario(sc, seed=0)
+    # Starting sets and CHECK sets are checked as well as OP elements.
+    for sc in (
+        Scenario((("P", frozenset({"a b"})),), (), ()),
+        Scenario((("P", frozenset()),), (), (CheckEvent("P", frozenset({3.5})),)),
+    ):
+        with pytest.raises(ScenarioError, match="cannot cross the wire"):
+            run_scenario(sc, seed=0)
+    # A peer's name is not an element: a peer may be named 5.
+    sc = parse_scenario("PEER 5 {(a,k,1),(b,k,2)}\nRESOLVE 5\nCHECK 5 {(b,k,2)}\n")
+    assert sc.events[0] == ResolveEvent("5")
+    assert run_scenario(sc, seed=0).checks_passed
 
 
 def test_convergence_is_judged_per_component():
