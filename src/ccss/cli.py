@@ -66,16 +66,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _refused(*limits: tuple[bool, str]) -> bool:
-    """Print the message of the first limit that does not hold; True if any."""
-    broken = [message for ok, message in limits if not ok]
-    if broken:
-        print(broken[0], file=sys.stderr)
-    return bool(broken)
-
-
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    if _refused(
+    for ok, message in (
         (1 <= args.universe <= 5, "--universe must be between 1 and 5"),
         (0 <= args.max_len <= 4, "--max-len must be between 0 and 4"),
         (
@@ -83,7 +75,9 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             "--base-bits must be between 0 and --universe",
         ),
     ):
-        return 2
+        if not ok:
+            print(message, file=sys.stderr)
+            return 2
 
     elements = tuple(range(1, args.universe + 1))
     checked = 0
@@ -105,14 +99,16 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if _refused(
+    for ok, message in (
         (args.peers >= 2, "--peers must be at least 2"),
         (args.universe >= 1, "--universe must be at least 1"),
         (args.seeds >= 1, "--seeds must be at least 1"),
         (args.ops >= 0, "--ops must be at least 0"),
         (0 <= args.density <= 1, "--density must be between 0 and 1"),
     ):
-        return 2
+        if not ok:
+            print(message, file=sys.stderr)
+            return 2
     failures = 0
     for seed in range(1, args.seeds + 1):
         scenario = sim.random_workload(

@@ -104,7 +104,7 @@ class Triple:
     stamp: int
 
     def __str__(self) -> str:
-        return render_element(self)
+        return f"({self.value!s},{self.key!s},{self.stamp!s})"
 
 
 # ---------------------------------------------------------------------------
@@ -287,46 +287,44 @@ def parse_list(text: str, brackets: str, parse_item: Callable, what: str) -> lis
 
 _TOKEN_RE = re.compile(r"[^\s,()\[\]{}]+")
 
-# The parser recurses once per nested triple, so an element holding more is
-# refused before it can exhaust the interpreter's stack.
+# parse_element recurses once per nested triple; it refuses more than this.
 _MAX_TRIPLES = 100
 
 
 def is_wire_element(x: Element) -> bool:
-    """True when the canonical text carries `x` intact: it parses back to `x`."""
+    """True when `x` parses back from its canonical text, equal and of one type."""
     if type(x) is int:
         return True
     try:
-        return parse_element(render_element(x)) == x
+        return _same(parse_element(render_element(x)), x)
     except ValueError:
         return False
 
 
+def _same(a: Element, b: Element) -> bool:
+    """Equal and of one type, down to each field of a triple."""
+    if type(a) is type(b) is Triple:
+        return all(map(_same, (a.value, a.key, a.stamp), (b.value, b.key, b.stamp)))
+    return type(a) is type(b) and a == b
+
+
 def render_element(x: Element) -> str:
-    if isinstance(x, Triple):
-        return f"({render_element(x.value)},{render_element(x.key)},{x.stamp})"
     return str(x)
 
 
 def parse_element(text: str) -> Element:
-    """Inverse of render_element: an integer, a plain token or a triple.
-
-    A plain token has no whitespace, commas or brackets and is not an
-    integer.  Other text raises ValueError.
-    """
+    """Inverse of render_element: an integer, a token or a triple, else ValueError."""
     text = text.strip()
     if _INT_RE.fullmatch(text):
         return int(text)
     if _TOKEN_RE.fullmatch(text):
         return text
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"malformed element: {text!r}")
+    parts = parse_list(text, "()", str.strip, "element")
     if text.count("(") > _MAX_TRIPLES:
         raise ValueError(f"element holds more than {_MAX_TRIPLES} triples")
-    parts = _split_top(text[1:-1])
     if len(parts) != 3:
         raise ValueError(f"malformed triple: {text!r}")
-    value, key, stamp = (p.strip() for p in parts)
+    value, key, stamp = parts
     if not _INT_RE.fullmatch(stamp):
         raise ValueError(f"triple timestamp must be an integer: {text!r}")
     return Triple(parse_element(value), parse_element(key), int(stamp))
@@ -334,13 +332,11 @@ def parse_element(text: str) -> Element:
 
 def element_sort_key(x: Element) -> tuple:
     """Total order used only for deterministic rendering and enumeration."""
-    if isinstance(x, bool):
-        return (3, 0, str(x))
-    if isinstance(x, int):
+    if type(x) is int:
         return (0, x, "")
-    if isinstance(x, str):
+    if type(x) is str:
         return (1, 0, x)
-    if isinstance(x, Triple):
+    if type(x) is Triple:
         return (2, x.stamp, render_element(x))
     return (3, 0, repr(x))
 

@@ -101,17 +101,13 @@ def _link_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _declaration(*values: object) -> tuple:
-    return values
-
-
-# The scenario language, one row per directive: the list a line joins, what
-# it builds from its fields, and its usage, one slot per field.  A `<set>` or
-# `<element>` slot is read as one, an `a|b` slot must be one of those words,
-# and any other slot is a name.
+# The scenario language, one row per directive: the list a line joins, the
+# event it builds from its fields (a declaration is the tuple of its fields),
+# and its usage, one slot per field.  A `<set>` or `<element>` slot is read as
+# one, an `a|b` slot must be one of those words, and any other is a name.
 _DIRECTIVES = {
-    "PEER": ("peer", _declaration, "<id> <set>"),
-    "LINK": ("link", _declaration, "<a> <b>"),
+    "PEER": ("peer", None, "<id> <set>"),
+    "LINK": ("link", None, "<a> <b>"),
     "OP": ("event", OpEvent, "<peer> insert|delete <element>"),
     "SYNC": ("event", SyncEvent, "<a> <b>"),
     "PARTITION": ("event", PartitionEvent, "<a> <b>"),
@@ -149,7 +145,7 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(str(exc), lineno) from exc
         lines[kind, len(built[kind])] = lineno
-        built[kind].append(build(*values))
+        built[kind].append(build(*values) if build else tuple(values))
 
     if not built["peer"]:
         raise ScenarioError("scenario declares no peers", line=1)

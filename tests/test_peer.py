@@ -1,6 +1,8 @@
 """Peer state machine: logs, sync exchange, pruning, segmentation, wire."""
 
 import copy
+from decimal import Decimal
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -94,7 +96,8 @@ def test_local_update_rejects_unknown_intent():
 
 
 @pytest.mark.parametrize(
-    "x", [3.5, True, "5", "", "a b", "x,y", "x]", Triple("x,y", 1, 2)]
+    "x", [3.5, True, "5", "", "a b", "x,y", "x]", Triple("x,y", 1, 2),
+          Decimal(5), Fraction(5), Triple("a", "k", Decimal(1))]
 )
 def test_local_update_refuses_elements_the_wire_cannot_carry(x):
     p = init_peer("P", frozenset(), ("Q",))
