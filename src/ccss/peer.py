@@ -7,15 +7,15 @@ receiver rewrites incoming ops against its own unseen suffix, applies the
 survivors and logs their records as received, so they propagate onward.
 
 Wire contract: a message carries a payload (origin-tagged operations) and an
-acknowledgment map (highest origin_seq per origin the sender has applied).
-For every origin o and seq s covered by the ack map, the receiver either
-already holds o:s, or this message's payload carries it, or its effect
+acknowledgment map (highest origin_seq per origin the sender has applied),
+which covers the payload.  For every o:s under the ack map, the receiver
+either already holds o:s, or this message's payload carries it, or its effect
 cancels against another operation covered by the same message (a pairing
 the sender only forms between operations never previously offered to this
 receiver, so the receiver cannot hold half of the pair), or it duplicates
-an operation the receiver already holds.  The receiver may therefore treat
-everything under the ack map as delivered, which is what lets mutually
-canceling pairs vanish from the wire without stalling pruning.
+an operation the receiver already holds.  The receiver therefore treats
+everything under the ack map as delivered, and merging that map is the only
+way its coverage moves: canceling pairs vanish without stalling pruning.
 
 Progress: each neighbor's ack maps, merged by per-origin maximum, are the one
 record of what that neighbor holds.  Sync payloads skip what it covers, and
@@ -173,23 +173,22 @@ def local_update(peer: PeerState, intent: str, x: Element) -> Op | None:
     return op
 
 
-def _element_tails(log, neighbor, acks, known) -> dict[Element, list[int]]:
-    """Per element, the log positions after the last entry `neighbor` has.
+def _element_tails(log, acks, known) -> dict[Element, list[int]]:
+    """Per element, the log positions after the last entry a neighbor has.
 
-    The neighbor has the entries it originated, those under `acks`, and
-    those in `known` (the same intent under another tag).  Everything up to
-    and including such an entry is settled knowledge on that element, so only
-    the trailing unknown run carries news.  Within a run the ops alternate
-    (the log is a valid sequence), so an even run nets to nothing and an odd
-    run nets to its final op.
+    The neighbor has the entries under its ack map `acks` and those in
+    `known` (the same intent under another tag).  On a forest that includes
+    every entry it originated: each came here in the neighbor's own message,
+    whose ack map covered it (`handle_sync` refuses one that does not) and
+    went into the `received_watermark` that `prepare_sync` passes, and a
+    message bringing `handle_sync` news acks all its sender acked before.
+    Only the trailing run after the last such entry carries news on an
+    element.  Within a run the ops alternate (the log is a valid sequence),
+    so an even run nets to nothing and an odd run nets to its final op.
     """
     tails: dict[Element, list[int]] = {}
     for i, e in enumerate(log):
-        if (
-            e.origin == neighbor
-            or e.origin_seq <= acks.get(e.origin, 0)
-            or (e.origin, e.origin_seq) in known
-        ):
+        if e.origin_seq <= acks.get(e.origin, 0) or (e.origin, e.origin_seq) in known:
             tails[e.op.element] = []
         else:
             tails.setdefault(e.op.element, []).append(i)
@@ -213,9 +212,7 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     if state is None:
         raise UnknownNeighbor(f"{peer.id}: unknown neighbor {neighbor}")
 
-    tails = _element_tails(
-        peer.log, neighbor, state.received_watermark, state.known_entries
-    )
+    tails = _element_tails(peer.log, state.received_watermark, state.known_entries)
     log = peer.log
     offered = state.offered_entries
     picked: list[int] = []
@@ -248,16 +245,20 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     matched against local operations.  The survivors are then rewritten
     against the per-element net of local log entries the sender had not
     seen; the entries whose op survives are applied and logged as received,
-    tags intact, ready to propagate onward.  Stale or empty
-    messages are normal and return an empty tuple.  A message carrying an op
-    that is not effectful here raises InvalidInsert or InvalidDelete and
-    leaves the peer unchanged.
+    tags intact, ready to propagate onward; merging the ack map then covers
+    them.  Stale or empty messages are normal and return an empty tuple.  A
+    payload entry outside its own ack map raises ValueError, and an op that
+    is not effectful here InvalidInsert or InvalidDelete; both leave the
+    peer unchanged.
     """
     if msg.receiver != peer.id:
         raise ValueError(f"message for {msg.receiver} handled by {peer.id}")
     state = peer.neighbors.get(msg.sender)
     if state is None:
         raise UnknownNeighbor(f"{peer.id}: unknown neighbor {msg.sender}")
+    for t in msg.payload:
+        if t.origin_seq > msg.ack.get(t.origin, 0):
+            raise ValueError(f"entry {t.origin}:{t.origin_seq} outruns the ack map")
 
     pending = [
         t for t in msg.payload if t.origin_seq > peer.applied_seqs.get(t.origin, 0)
@@ -272,7 +273,7 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
         # count as seen; the sender holds the same intent under its own tag,
         # so its later ops are not concurrent with them.
         # transform_remote reads kinds per element, so any order serves.
-        tails = _element_tails(peer.log, msg.sender, msg.ack, state.known_entries)
+        tails = _element_tails(peer.log, msg.ack, state.known_entries)
         survivors: dict[Element, TaggedOp] = {}
         for element, tail in tails.items():
             if len(tail) % 2 == 1:
@@ -297,8 +298,6 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
                 # so the matching local entry must never be sent back to it.
                 twin = survivors[norm_op.element]
                 state.known_entries.add((twin.origin, twin.origin_seq))
-            if tagged.origin_seq > peer.applied_seqs.get(tagged.origin, 0):
-                peer.applied_seqs[tagged.origin] = tagged.origin_seq
 
     # Everything under the ack map is now covered here: delivered just now,
     # known before, or canceled inside this very message.

@@ -104,7 +104,7 @@ def _link_key(a: str, b: str) -> tuple[str, str]:
 # The scenario language, one row per directive: the list a line joins, the
 # event it builds from its fields (a declaration is the tuple of its fields),
 # and its usage, one slot per field.  A `<set>` or `<element>` slot is read as
-# one, an `a|b` slot must be one of those words, and any other is a name.
+# one, any other as a name, and `_validate` holds an `a|b` slot to its words.
 _DIRECTIVES = {
     "PEER": ("peer", None, "<id> <set>"),
     "LINK": ("link", None, "<a> <b>"),
@@ -117,6 +117,7 @@ _DIRECTIVES = {
     "CHECK": ("event", CheckEvent, "<peer> <set>"),
 }
 _READERS = {"<set>": parse_element_set, "<element>": parse_element}
+_INTENTS = tuple(_DIRECTIVES["OP"][2].split()[1].split("|"))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -136,9 +137,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"unknown directive {word}", lineno)
         kind, build, usage = _DIRECTIVES[word]
         slots = usage.split()
-        if len(texts) != len(slots) or any(
-            "|" in slot and t not in slot.split("|") for slot, t in zip(slots, texts)
-        ):
+        if len(texts) != len(slots):
             raise ScenarioError(f"expected: {word} {usage}", lineno)
         try:
             values = [_READERS.get(slot, str)(t) for slot, t in zip(slots, texts)]
@@ -271,6 +270,8 @@ def _validate(
         elif event.peer not in declared:
             fail(f"undeclared peer {event.peer}", "event", i)
         elif isinstance(event, OpEvent):
+            if event.intent not in _INTENTS:
+                fail(f"expected: OP {_DIRECTIVES['OP'][2]}", "event", i)
             check_elements((event.element,), "event", i)
         elif isinstance(event, CheckEvent):
             check_elements(event.expected, "event", i)

@@ -188,6 +188,9 @@ def test_fuzz_standard_run(capsys):
 
 def test_fuzz_rejects_single_peer(capsys):
     assert cli.main(["fuzz", "--peers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "--peers must be at least 2\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("universe", ["0", "-3"])

@@ -1,4 +1,4 @@
-"""Source hygiene: every imported name and every plain local is read."""
+"""Source hygiene: every imported name, plain local and parameter is read."""
 
 import ast
 from pathlib import Path
@@ -62,6 +62,15 @@ def _own_nodes(func: ast.FunctionDef):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _names_read(func) -> set[str]:
+    """Every name a function reads, nested functions included."""
+    return {
+        node.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def dead_locals(source: str) -> list[str]:
     """Function locals a plain `name = ...` binds and nothing reads.
 
@@ -73,11 +82,7 @@ def dead_locals(source: str) -> list[str]:
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        read = {
-            node.id
-            for node in ast.walk(func)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
+        read = _names_read(func)
         bound: dict[str, int] = {}
         for node in _own_nodes(func):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -88,6 +93,36 @@ def dead_locals(source: str) -> list[str]:
                         bound.setdefault(target.id, node.lineno)
         found += [(line, name) for name, line in bound.items() if name not in read]
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Function parameters that nothing in the function reads.
+
+    A read anywhere in the function counts, nested functions included.
+    `self`, `cls` and `_` names are exempt.
+    """
+    found: list[tuple[int, str]] = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        read = _names_read(func)
+        args = func.args
+        found += [
+            (func.lineno, arg.arg)
+            for arg in (
+                *args.posonlyargs,
+                *args.args,
+                args.vararg,
+                *args.kwonlyargs,
+                args.kwarg,
+            )
+            if arg is not None
+            and arg.arg not in read
+            and arg.arg not in ("self", "cls")
+            and not arg.arg.startswith("_")
+        ]
+    found.sort(key=lambda item: item[0])
+    return [f"line {line}: {name}" for line, name in found]
 
 
 def test_sources_are_found():
@@ -103,6 +138,12 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", SOURCES)
 def test_every_local_is_read(path):
     assert dead_locals((ROOT / path).read_text(encoding="utf-8")) == []
+
+
+# Tests are left out: their fakes take a signature's parameters unread.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.startswith("src/")])
+def test_every_parameter_is_read(path):
+    assert unread_parameters((ROOT / path).read_text(encoding="utf-8")) == []
 
 
 def test_the_scan_sees_what_it_should():
@@ -152,4 +193,29 @@ class C:
         "line 6: also_unused",
         "line 10: total",
         "line 15: late",
+    ]
+
+
+def test_the_unread_parameter_scan_sees_what_it_should():
+    source = """\
+def f(used, unused, *rest, key, _private, **extra):
+    def inner(late):
+        return used + key
+    return inner
+class C:
+    def method(self, value):
+        return self
+    @classmethod
+    def build(cls, *, flag=None):
+        return cls()
+handler = lambda event, context: event
+"""
+    assert unread_parameters(source) == [
+        "line 1: unused",
+        "line 1: rest",
+        "line 1: extra",
+        "line 2: late",
+        "line 6: value",
+        "line 9: flag",
+        "line 11: context",
     ]

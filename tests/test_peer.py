@@ -317,6 +317,29 @@ def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
     assert (p.data, p.log, p.applied_seqs, p.neighbors) == before
 
 
+@pytest.mark.parametrize(
+    "msg",
+    [
+        SyncMessage("Q", "P", (TaggedOp(Op.insert(3), "Q", 2),), {"Q": 1}),
+        parse_sync_message("MSG from=Q to=P ack= ops=[+3@Q:1]"),
+    ],
+    ids=["built", "parsed"],
+)
+def test_payload_outrunning_its_own_ack_map_is_refused(msg):
+    # Merging the ack map is the only way coverage moves, so a payload the
+    # map does not cover would be applied and never counted as handled.
+    p, q = make_pair()
+    local_update(p, "insert", 4)
+    local_update(q, "insert", 5)
+    exchange(p, q)
+    prepare_sync(p, "Q")  # offered, not yet acknowledged
+    before = copy.deepcopy((p.data, p.log, p.applied_seqs, p.neighbors))
+    tag = msg.payload[0]
+    with pytest.raises(ValueError, match=f"{tag.origin}:{tag.origin_seq} "):
+        handle_sync(p, msg)
+    assert (p.data, p.log, p.applied_seqs, p.neighbors) == before
+
+
 def test_echo_freedom():
     p, q = make_pair()
     local_update(p, "insert", 3)

@@ -205,6 +205,19 @@ def test_cyclic_links_are_rejected():
     assert run_scenario(line, seed=0).convergence
 
 
+def test_built_scenarios_refuse_unknown_intents_like_parsed_ones():
+    sc = Scenario(
+        (("P", frozenset({1})), ("Q", frozenset({1}))),
+        (("P", "Q"),),
+        (OpEvent("P", "upsert", 1), SyncEvent("P", "Q")),
+    )
+    for execute in (lambda: run_scenario(sc, seed=0), lambda: reference_run(sc)):
+        with pytest.raises(ScenarioError) as info:
+            execute()
+        assert str(info.value) == "expected: OP <peer> insert|delete <element>"
+        assert info.value.line is None
+
+
 def test_elements_the_wire_cannot_carry_are_rejected():
     for x in ("a b", 3.5, Triple("x,y", 1, 2)):
         sc = Scenario((("P", frozenset()),), (), (OpEvent("P", "insert", x),))
