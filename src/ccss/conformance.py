@@ -129,28 +129,33 @@ def check_confluence(universe: Universe, max_len: int) -> ConfluenceReport:
     local-then-transformed-remote route, its mirror image, and the
     transformed-local route must all equal the oracle merge.
 
-    The route from `ps` with `qs` transformed after it is the mirror route
-    of the pair (qs, ps), so each is computed once, for an unordered pair,
-    and judged in both ordered pairs.  A route that raises keeps its error,
-    which is reported where the route is read.
+    The checks read a history only through its normal form and the state it
+    reaches, so histories that share both form one class: each ordered pair
+    of classes is judged once, and its verdict is reported for every pair of
+    their members.  The route from `ps` with `qs` transformed after it is
+    the mirror route of the pair (qs, ps), so each is computed once, for an
+    unordered pair of classes, and judged in both ordered pairs.  A route
+    that raises keeps its error, which is reported where the route is read.
     """
     seqs = enumerate_valid_seqs(universe, max_len)
-    cached = []
-    for seq in seqs:
-        cached.append((seq, normalize(seq), apply_seq(universe.base, seq)))
     base = universe.base
+    members: dict[tuple[OpSeq, ElementSet], list[int]] = {}
+    for i, seq in enumerate(seqs):
+        members.setdefault((normalize(seq), apply_seq(base, seq)), []).append(i)
+    classes = list(members)
+    groups = list(members.values())
 
     def route(p: int, q: int) -> _Route:
-        _, nps, after_ps = cached[p]
+        nps, after_ps = classes[p]
         try:
-            return apply_seq(after_ps, core.transform_remote(nps, cached[q][1]))
+            return apply_seq(after_ps, core.transform_remote(nps, classes[q][0]))
         except core.CcssError as exc:
             return exc
 
     found: list[tuple[int, int, ConfluenceFailure]] = []
 
     def judge(p: int, q: int, at_p: _Route, at_q: _Route) -> None:
-        (ps, nps, _), (qs, nqs, _) = cached[p], cached[q]
+        nps, nqs = classes[p][0], classes[q][0]
         try:
             for merged in (at_p, at_q):
                 if isinstance(merged, core.CcssError):
@@ -168,16 +173,19 @@ def check_confluence(universe: Universe, max_len: int) -> ConfluenceReport:
                 f"{render_element_set(rewritten_local)} "
                 f"vs oracle {render_element_set(expected)}"
             )
-        found.append((p, q, ConfluenceFailure(base, ps, qs, detail)))
+        for i in groups[p]:
+            for j in groups[q]:
+                failure = ConfluenceFailure(base, seqs[i], seqs[j], detail)
+                found.append((i, j, failure))
 
-    for p in range(len(cached)):
+    for p in range(len(classes)):
         own = route(p, p)
         judge(p, p, own, own)
-        for q in range(p + 1, len(cached)):
+        for q in range(p + 1, len(classes)):
             at_p, at_q = route(p, q), route(q, p)
             judge(p, q, at_p, at_q)
             judge(q, p, at_q, at_p)
     found.sort(key=lambda item: item[:2])
     return ConfluenceReport(
-        checked=len(cached) ** 2, failures=[failure for _, _, failure in found]
+        checked=len(seqs) ** 2, failures=[failure for _, _, failure in found]
     )

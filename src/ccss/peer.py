@@ -39,6 +39,7 @@ from .core import (
     Element,
     Op,
     OpSeq,
+    _NOP,
     ineffective,
     is_valid,
     is_wire_element,
@@ -247,18 +248,39 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     seen; the entries whose op survives are applied and logged as received,
     tags intact, ready to propagate onward; merging the ack map then covers
     them.  Stale or empty messages are normal and return an empty tuple.  A
-    payload entry outside its own ack map raises ValueError, and an op that
-    is not effectful here InvalidInsert or InvalidDelete; both leave the
-    peer unchanged.
+    payload that no log could have produced raises ValueError naming the
+    first bad entry: one outside its own ack map, one whose origin's seqs do
+    not rise, a Nop, or one repeating the kind of the previous op on its
+    element.  An op that is not effectful here raises InvalidInsert or
+    InvalidDelete.  Every error leaves the peer unchanged.
     """
     if msg.receiver != peer.id:
         raise ValueError(f"message for {msg.receiver} handled by {peer.id}")
     state = peer.neighbors.get(msg.sender)
     if state is None:
         raise UnknownNeighbor(f"{peer.id}: unknown neighbor {msg.sender}")
+    # A payload is a slice of a log: under its own ack map, each origin's
+    # seqs rising, every op effectful, and each element's kinds alternating.
+    last_seq: dict[PeerId, int] = {}
+    last_kind: dict[Element, core.OpKind] = {}
     for t in msg.payload:
-        if t.origin_seq > msg.ack.get(t.origin, 0):
-            raise ValueError(f"entry {t.origin}:{t.origin_seq} outruns the ack map")
+        origin, seq, op = t.origin, t.origin_seq, t.op
+        if seq > msg.ack.get(origin, 0):
+            raise ValueError(f"entry {origin}:{seq} outruns the ack map")
+        prev = last_seq.get(origin, 0)
+        if seq <= prev:
+            raise ValueError(
+                f"entry {origin}:{seq} does not rise above {origin}:{prev}"
+            )
+        if op.kind is _NOP:
+            raise ValueError(f"entry {origin}:{seq} carries no operation")
+        if op.kind is last_kind.get(op.element):
+            raise ValueError(
+                f"entry {origin}:{seq} repeats the previous op "
+                f"on {core.render_element(op.element)}"
+            )
+        last_seq[origin] = seq
+        last_kind[op.element] = op.kind
 
     pending = [
         t for t in msg.payload if t.origin_seq > peer.applied_seqs.get(t.origin, 0)
@@ -419,8 +441,10 @@ def parse_sync_message(line: str) -> SyncMessage:
     if values["ack"]:
         for item in values["ack"].split(","):
             origin, _, seq = item.rpartition(":")
-            if not origin or not seq.isdigit():
+            if not origin or not _is_seq(seq):
                 raise ValueError(f"malformed ack item: {item!r}")
+            if origin in ack:
+                raise ValueError(f"ack map names {origin} twice")
             ack[origin] = int(seq)
 
     return SyncMessage(
@@ -434,6 +458,11 @@ def parse_sync_message(line: str) -> SyncMessage:
 def _parse_tagged(item: str) -> TaggedOp:
     body, at, tag = item.rpartition("@")
     origin, _, seq = tag.rpartition(":")
-    if not at or not origin or not seq.isdigit():
+    if not at or not origin or not _is_seq(seq):
         raise ValueError(f"malformed payload item: {item!r}")
     return TaggedOp(parse_op(body), origin, int(seq))
+
+
+def _is_seq(text: str) -> bool:
+    """True for the sequence numbers the encoder writes: ASCII digits only."""
+    return text.isascii() and text.isdigit()

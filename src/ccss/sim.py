@@ -507,7 +507,9 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
     def issue(mirror: _MirrorPeer, name: str, op: Op) -> None:
         mirror.issued += 1
         tag = (name, mirror.issued)
-        mirror.data = set(core.apply_op(mirror.data, op))
+        if not core.is_valid(mirror.data, op):
+            raise core.ineffective(op)
+        mirror.data ^= {op.element}
         mirror.history.append((op, tag))
         mirror.known.add(tag)
 
@@ -567,7 +569,8 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
                 # Only applied instances join the relay record; canceled
                 # pairs and duplicate twins are covered by the known marks.
                 dst.history.append(entry)
-            dst.data = (dst.data - deletes) | inserts
+            dst.data -= deletes
+            dst.data |= inserts
             # Marked after the unions above, so each mark lands on its root.
             for _, tag in incoming:
                 dst.known.add(classes.find(tag))

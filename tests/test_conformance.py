@@ -148,9 +148,10 @@ def test_confluence_failure_rendering():
 
 def naive_confluence(universe, max_len):
     # The sweep as one loop over ordered pairs, every route computed afresh.
+    # It reads normalize through conformance, so a patched one applies here.
     base = universe.base
     cached = [
-        (seq, normalize(seq), apply_seq(base, seq))
+        (seq, conformance.normalize(seq), apply_seq(base, seq))
         for seq in enumerate_valid_seqs(universe, max_len)
     ]
     checked = 0
@@ -193,18 +194,31 @@ def _suppress_everything(local_ops, remote_ops):
     return tuple(NOP for _ in local_ops)
 
 
+def _nop_everything(seq):
+    return tuple(NOP for _ in seq)
+
+
+def _keep_last_only(seq):
+    return tuple(NOP for _ in seq[:-1]) + tuple(seq[-1:])
+
+
 @pytest.mark.parametrize(
     "name, broken",
     [
         ("transform_remote", _never_suppress),
         ("transform_local", _suppress_everything),
+        ("normalize", _nop_everything),
+        ("normalize", _keep_last_only),
     ],
 )
 def test_shared_routes_report_what_a_naive_loop_reports(monkeypatch, name, broken):
-    # Each route is computed once and judged in a pair and its mirror; under
-    # a broken transform the report must still match the per-pair loop.  The
-    # first bug makes routes raise, the second makes them disagree.
-    monkeypatch.setattr(core, name, broken)
+    # Histories sharing a normal form and an end state form one class; each
+    # pair of classes is judged once, its routes shared with the mirror pair,
+    # and its verdict reported for every pair of members.  Under a bug the
+    # report must still match the per-pair loop.  The transform bugs make
+    # routes raise or disagree; the normalize bugs give distinct histories
+    # one wrong normal form, so wrong classes hold several members.
+    monkeypatch.setattr(conformance if name == "normalize" else core, name, broken)
     for base in (frozenset(), frozenset({1}), frozenset({1, 2})):
         universe = Universe((1, 2, 3), base)
         report = check_confluence(universe, 3)
@@ -212,3 +226,15 @@ def test_shared_routes_report_what_a_naive_loop_reports(monkeypatch, name, broke
         assert expected
         assert report.checked == checked
         assert [str(f) for f in report.failures] == expected
+
+
+def test_shared_routes_match_a_naive_loop_on_a_clean_sweep():
+    # The benchmark's bound, where the classes have several members each.
+    for base in (frozenset(), frozenset({1, 2})):
+        universe = Universe((1, 2, 3, 4), base)
+        seqs = enumerate_valid_seqs(universe, 3)
+        classes = {(normalize(s), apply_seq(base, s)) for s in seqs}
+        assert len(classes) < len(seqs)
+        report = check_confluence(universe, 3)
+        assert (report.checked, report.failures) == (len(seqs) ** 2, [])
+        assert naive_confluence(universe, 3) == (len(seqs) ** 2, [])

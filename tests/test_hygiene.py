@@ -1,6 +1,8 @@
-"""Source hygiene: every imported name, plain local and parameter is read."""
+"""Source hygiene: every imported name, plain local and parameter is read,
+and every name the benchmark's tracer rebinds exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -219,3 +221,30 @@ handler = lambda event, context: event
         "line 9: flag",
         "line 11: context",
     ]
+
+
+def traced_bindings() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of `perfbench/spans.py`'s BINDINGS.
+
+    Read from the source, so the benchmark itself is not imported.
+    """
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets
+        ):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/spans.py assigns no BINDINGS")
+
+
+def test_traced_names_resolve():
+    # A traced benchmark run rebinds each name with getattr, so a name that
+    # moves or goes would only fail there.
+    bindings = traced_bindings()
+    assert ("ccss.conformance", "normalize") in bindings
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in bindings
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

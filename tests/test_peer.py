@@ -340,6 +340,32 @@ def test_payload_outrunning_its_own_ack_map_is_refused(msg):
     assert (p.data, p.log, p.applied_seqs, p.neighbors) == before
 
 
+@pytest.mark.parametrize(
+    "line,tag",
+    [
+        # Two inserts of one element in a row: they cancel, and P:2 is lost.
+        ("MSG from=P to=Q ack=P:2 ops=[+1@P:1,+1@P:2]", "P:2"),
+        # One tag twice: both entries would be logged under it.
+        ("MSG from=P to=Q ack=P:1 ops=[+1@P:1,+2@P:1]", "P:1"),
+        # P's entries out of order: they would be logged so.
+        ("MSG from=P to=Q ack=P:2 ops=[+1@P:2,+2@P:1]", "P:1"),
+        # Seqs start at 1, so a 0 cannot rise above its origin's start.
+        ("MSG from=P to=Q ack=P:1 ops=[+1@P:0]", "P:0"),
+        # A log holds effectful ops only; a Nop would cover P:1 with nothing.
+        ("MSG from=P to=Q ack=P:1 ops=[!@P:1]", "P:1"),
+    ],
+    ids=["kind-repeats", "tag-repeats", "seqs-fall", "seq-zero", "nop"],
+)
+def test_payload_no_log_could_produce_is_refused(line, tag):
+    # A payload is a slice of its sender's log: each origin's seqs rise, every
+    # op is effectful, and each element's kinds alternate.
+    q = init_peer("Q", frozenset(), ("P",))
+    before = copy.deepcopy((q.data, q.log, q.applied_seqs, q.neighbors))
+    with pytest.raises(ValueError, match=f"{tag} "):
+        handle_sync(q, parse_sync_message(line))
+    assert (q.data, q.log, q.applied_seqs, q.neighbors) == before
+
+
 def test_echo_freedom():
     p, q = make_pair()
     local_update(p, "insert", 3)
@@ -568,4 +594,15 @@ def test_wire_rejects_malformed_lines():
         "PKT from=P to=Q ack= ops=[]",
     ):
         with pytest.raises(ValueError):
+            parse_sync_message(bad)
+    # Only the encoder's forms: one ack item per origin, and sequence
+    # numbers in ASCII digits, each refused with a message naming the item.
+    for bad, message in (
+        ("MSG from=P to=Q ack=P:5,P:1 ops=[]", "ack map names P twice"),
+        ("MSG from=P to=Q ack=P:\u0661 ops=[]", "malformed ack item"),
+        ("MSG from=P to=Q ack=P:\u00b2 ops=[]", "malformed ack item"),
+        ("MSG from=P to=Q ack=P:1 ops=[+3@P:\u0661]", "malformed payload item"),
+        ("MSG from=P to=Q ack=P:1 ops=[+3@P:\u00b2]", "malformed payload item"),
+    ):
+        with pytest.raises(ValueError, match=message):
             parse_sync_message(bad)
