@@ -56,7 +56,7 @@ class OpKind(enum.Enum):
 _INSERT, _DELETE, _NOP = OpKind.INSERT, OpKind.DELETE, OpKind.NOP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """One set operation.  Immutable; Nop carries no element."""
 
@@ -257,19 +257,27 @@ def transform_local(local_ops: Sequence[Op], remote_ops: Sequence[Op]) -> OpSeq:
 _INT_RE = re.compile(r"-?\d+")
 
 
-def _split_top(text: str, sep: str = ",") -> list[str]:
-    """Split on `sep` occurrences outside any (), [], {} nesting."""
+# The only characters a split looks at: brackets move the depth, and a comma
+# at depth 0 ends a part.  The regex skips everything else in C.
+_STRUCTURE_RE = re.compile(r"[()\[\]{},]")
+
+
+def _split_top(text: str) -> list[str]:
+    """Split on commas outside any (), [], {} nesting."""
     parts: list[str] = []
     depth = 0
     start = 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
+    for match in _STRUCTURE_RE.finditer(text):
+        ch = match.group()
+        if ch == ",":
+            if depth == 0:
+                i = match.start()
+                parts.append(text[start:i])
+                start = i + 1
+        elif ch in "([{":
             depth += 1
-        elif ch in ")]}":
+        else:
             depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
     parts.append(text[start:])
     return parts
 
@@ -341,19 +349,26 @@ def element_sort_key(x: Element) -> tuple:
     return (3, 0, repr(x))
 
 
+# OpKind("+"), `.value` and hashing a member all run Python code, so a sign
+# is read through this dict and written by comparing kinds.
+_KIND_OF_SIGN = {"+": _INSERT, "-": _DELETE}
+
+
 def render_op(op: Op) -> str:
-    if op.kind is _NOP:
+    kind = op.kind
+    if kind is _NOP:
         return "!"
-    return op.kind.value + render_element(op.element)
+    return ("+" if kind is _INSERT else "-") + render_element(op.element)
 
 
 def parse_op(text: str) -> Op:
     text = text.strip()
     if text == "!":
         return NOP
-    if len(text) > 1 and text[0] in "+-":
-        return Op(OpKind(text[0]), parse_element(text[1:]))
-    raise ValueError(f"malformed op: {text!r}")
+    kind = _KIND_OF_SIGN.get(text[:1])
+    if kind is None or len(text) == 1:
+        raise ValueError(f"malformed op: {text!r}")
+    return Op(kind, parse_element(text[1:]))
 
 
 def render_op_seq(seq: Sequence[Op]) -> str:

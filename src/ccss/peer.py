@@ -55,6 +55,9 @@ from .core import (
 PeerId = str
 
 _PEER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
+# An ack item or a payload tag: a peer id, then a sequence number in ASCII
+# digits (`[0-9]`, unlike `\d`, matches no other script's digits).
+_TAG_RE = re.compile(rf"({_PEER_ID_RE.pattern}):([0-9]+)")
 
 
 class DuplicateNeighbor(CcssError):
@@ -93,7 +96,7 @@ class NeighborState:
     offered_entries: set[tuple[PeerId, int]] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedOp:
     """An effectful op tagged with its origin: a log entry and a payload item."""
 
@@ -192,7 +195,11 @@ def _element_tails(log, acks, known) -> dict[Element, list[int]]:
         if e.origin_seq <= acks.get(e.origin, 0) or (e.origin, e.origin_seq) in known:
             tails[e.op.element] = []
         else:
-            tails.setdefault(e.op.element, []).append(i)
+            tail = tails.get(e.op.element)
+            if tail is None:
+                tails[e.op.element] = [i]
+            else:
+                tail.append(i)
     return tails
 
 
@@ -220,7 +227,7 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     for tail in tails.values():
         if not tail:
             continue
-        if any((log[i].origin, log[i].origin_seq) in offered for i in tail):
+        if offered and any((log[i].origin, log[i].origin_seq) in offered for i in tail):
             picked.extend(tail)
         elif len(tail) % 2 == 1:
             picked.append(tail[-1])
@@ -426,6 +433,12 @@ def encode_sync_message(msg: SyncMessage) -> str:
 
 
 def parse_sync_message(line: str) -> SyncMessage:
+    """Inverse of `encode_sync_message`; any other line raises ValueError.
+
+    `from`, `to`, ack origins and payload tags must be peer ids (as
+    `init_peer` requires), so whatever a relay logs re-encodes to a line
+    that parses.  Decoding is linear in the number of payload entries.
+    """
     tokens = line.strip().split(" ")
     keys = ("from", "to", "ack", "ops")
     if len(tokens) != 5 or tokens[0] != "MSG":
@@ -436,13 +449,17 @@ def parse_sync_message(line: str) -> SyncMessage:
         if not eq or key != expected:
             raise ValueError(f"malformed message field: {token!r}")
         values[key] = value
+    for key in ("from", "to"):
+        if not _PEER_ID_RE.fullmatch(values[key]):
+            raise ValueError(f"bad peer id in {key}=: {values[key]!r}")
 
     ack: dict[PeerId, int] = {}
     if values["ack"]:
         for item in values["ack"].split(","):
-            origin, _, seq = item.rpartition(":")
-            if not origin or not _is_seq(seq):
+            tag = _TAG_RE.fullmatch(item)
+            if tag is None:
                 raise ValueError(f"malformed ack item: {item!r}")
+            origin, seq = tag.groups()
             if origin in ack:
                 raise ValueError(f"ack map names {origin} twice")
             ack[origin] = int(seq)
@@ -456,13 +473,9 @@ def parse_sync_message(line: str) -> SyncMessage:
 
 
 def _parse_tagged(item: str) -> TaggedOp:
-    body, at, tag = item.rpartition("@")
-    origin, _, seq = tag.rpartition(":")
-    if not at or not origin or not _is_seq(seq):
+    body, at, tag_text = item.rpartition("@")
+    tag = _TAG_RE.fullmatch(tag_text)
+    if not at or tag is None:
         raise ValueError(f"malformed payload item: {item!r}")
+    origin, seq = tag.groups()
     return TaggedOp(parse_op(body), origin, int(seq))
-
-
-def _is_seq(text: str) -> bool:
-    """True for the sequence numbers the encoder writes: ASCII digits only."""
-    return text.isascii() and text.isdigit()

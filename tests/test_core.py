@@ -1,9 +1,13 @@
 """Unit coverage for effectful operations, normalization, and transforms."""
 
 import itertools
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from ccss import core
 from ccss.core import (
     NOP,
     DivergenceError,
@@ -281,6 +285,52 @@ def test_parse_element_refuses_text_it_cannot_read():
     deep = "(" * 1200 + "a" + ",k,1)" * 1200
     with pytest.raises(ValueError, match="more than 100 triples"):
         parse_element(deep)
+
+
+def _split_top_by_character(text):
+    """The split as it was first written, one character at a time."""
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.text(alphabet="()[]{},a1-@:", max_size=40))
+@example("")
+@example(",,")
+@example("a),b,(c")  # nesting below zero, then back to it
+@example("(a,b")  # never closed
+@example("[a,(b],c),d")  # closed by the wrong kind of bracket
+def test_split_by_structure_matches_the_character_loop(text):
+    assert core._split_top(text) == _split_top_by_character(text)
+    # Every reader of bracketed lists answers exactly as it did with the
+    # character loop, refusals and their messages included.
+    readers = (
+        lambda t: parse_op_seq("[" + t + "]"),
+        lambda t: parse_element_set("{" + t + "}"),
+        lambda t: parse_element("(" + t + ")"),
+    )
+    for parse in readers:
+        new = _outcome(parse, text)
+        with mock.patch.object(core, "_split_top", _split_top_by_character):
+            assert _outcome(parse, text) == new
 
 
 def test_mixed_element_rendering_is_stable():

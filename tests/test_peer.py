@@ -1,6 +1,8 @@
 """Peer state machine: logs, sync exchange, pruning, segmentation, wire."""
 
 import copy
+import dataclasses
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -366,6 +368,18 @@ def test_payload_no_log_could_produce_is_refused(line, tag):
     assert (q.data, q.log, q.applied_seqs, q.neighbors) == before
 
 
+@pytest.mark.parametrize(
+    "record", [Op.insert(5), Op.delete("a"), TaggedOp(Op.insert(5), "P", 3)]
+)
+def test_records_are_slotted_and_frozen(record):
+    assert not hasattr(record, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin == record and hash(twin) == hash(record)
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, None)
+
+
 def test_echo_freedom():
     p, q = make_pair()
     local_update(p, "insert", 3)
@@ -603,6 +617,32 @@ def test_wire_rejects_malformed_lines():
         ("MSG from=P to=Q ack=P:\u00b2 ops=[]", "malformed ack item"),
         ("MSG from=P to=Q ack=P:1 ops=[+3@P:\u0661]", "malformed payload item"),
         ("MSG from=P to=Q ack=P:1 ops=[+3@P:\u00b2]", "malformed payload item"),
+        # Every id is a peer id, as init_peer requires: a relay re-encodes
+        # what it logged, and a stray bracket in a tag would shift the
+        # splitting of every item after it on the next hop.
+        ("MSG from=P to=Q ack=b):1 ops=[+5@b):1]", "malformed ack item"),
+        ("MSG from=P to=Q ack=b:1 ops=[+5@b):1]", "malformed payload item"),
+        ("MSG from=Q to=R ack=Q:1,b):1 ops=[+5@b):1,+7@Q:1]", "malformed"),
+        ("MSG from=P to=Q ack=P:x:1 ops=[]", "malformed ack item"),
+        ("MSG from=P) to=Q ack= ops=[]", "bad peer id in from="),
+        ("MSG from=P to= ack= ops=[]", "bad peer id in to="),
     ):
         with pytest.raises(ValueError, match=message):
             parse_sync_message(bad)
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="Pb_.-:@()[]{},+ ", min_size=1, max_size=6))
+def test_relayed_entries_re_encode_to_lines_that_parse(origin):
+    """What a relay logs from a parsed line, it can send on intact."""
+    line = f"MSG from=P to=Q ack={origin}:1 ops=[+5@{origin}:1]"
+    try:
+        msg = parse_sync_message(line)
+    except ValueError:
+        return
+    q = init_peer("Q", frozenset(), ("P", "R"))
+    handle_sync(q, msg)
+    local_update(q, "insert", 7)
+    relayed = prepare_sync(q, "R")
+    assert len(relayed.payload) == 2
+    assert parse_sync_message(encode_sync_message(relayed)) == relayed

@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from ccss import sim
+from ccss import peer, sim
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8"
@@ -30,6 +30,11 @@ def test_readme_scenario_runs_and_passes():
 
 def test_readme_library_example_runs():
     exec(compile(code_block(README, "python"), "README.md", "exec"), {})
+
+
+def test_readme_wire_example_round_trips():
+    line = code_block(section("Wire format")).strip()
+    assert peer.encode_sync_message(peer.parse_sync_message(line)) == line
 
 
 def test_readme_names_every_directive():
