@@ -299,14 +299,29 @@ _TOKEN_RE = re.compile(r"[^\s,()\[\]{}]+")
 _MAX_TRIPLES = 100
 
 
+# Ints inside this bound always round-trip.  A longer one may exceed
+# sys.get_int_max_str_digits(), which str() and int() refuse, so it takes the
+# round trip like any other element.
+_INT_FAST = 10**18
+
+
 def is_wire_element(x: Element) -> bool:
     """True when `x` parses back from its canonical text, equal and of one type."""
-    if type(x) is int:
+    if type(x) is int and -_INT_FAST < x < _INT_FAST:
         return True
     try:
         return _same(parse_element(render_element(x)), x)
     except ValueError:
         return False
+
+
+def describe_element(x: Element) -> str:
+    """`repr(x)`, or its type where Python refuses to print an int that long."""
+    try:
+        return repr(x)
+    except ValueError:
+        size = f" of {x.bit_length()} bits" if type(x) is int else ""
+        return f"<{type(x).__name__}{size}, too long to print>"
 
 
 def _same(a: Element, b: Element) -> bool:

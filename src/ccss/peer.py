@@ -40,6 +40,7 @@ from .core import (
     Op,
     OpSeq,
     _NOP,
+    describe_element,
     ineffective,
     is_valid,
     is_wire_element,
@@ -139,6 +140,8 @@ def init_peer(
         raise ValueError(f"bad peer id: {peer_id!r}")
     seen: dict[PeerId, NeighborState] = {}
     for n in neighbors:
+        if not _PEER_ID_RE.fullmatch(n):
+            raise ValueError(f"{peer_id}: bad neighbor id: {n!r}")
         if n == peer_id or n in seen:
             raise DuplicateNeighbor(f"{peer_id}: duplicate neighbor {n}")
         seen[n] = NeighborState()
@@ -161,7 +164,7 @@ def local_update(peer: PeerState, intent: str, x: Element) -> Op | None:
     with ValueError.
     """
     if not is_wire_element(x):
-        raise ValueError(f"element cannot cross the wire: {x!r}")
+        raise ValueError(f"element cannot cross the wire: {describe_element(x)}")
     if intent == "insert":
         op = make_insert(peer.data, x)
     elif intent == "delete":
@@ -258,14 +261,19 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     payload that no log could have produced raises ValueError naming the
     first bad entry: one outside its own ack map, one whose origin's seqs do
     not rise, a Nop, or one repeating the kind of the previous op on its
-    element.  An op that is not effectful here raises InvalidInsert or
-    InvalidDelete.  Every error leaves the peer unchanged.
+    element.  So does an ack map claiming an op of this peer's own that it
+    has not issued.  An op that is not effectful here raises InvalidInsert
+    or InvalidDelete.  Every error leaves the peer unchanged.
     """
     if msg.receiver != peer.id:
         raise ValueError(f"message for {msg.receiver} handled by {peer.id}")
     state = peer.neighbors.get(msg.sender)
     if state is None:
         raise UnknownNeighbor(f"{peer.id}: unknown neighbor {msg.sender}")
+    # Only this peer issues its own tags, so no honest ack map runs ahead.
+    claimed = msg.ack.get(peer.id, 0)
+    if claimed > peer.applied_seqs.get(peer.id, 0):
+        raise ValueError(f"ack map claims {peer.id}:{claimed}, never issued here")
     # A payload is a slice of a log: under its own ack map, each origin's
     # seqs rising, every op effectful, and each element's kinds alternating.
     last_seq: dict[PeerId, int] = {}
@@ -380,43 +388,37 @@ def split_message(msg: SyncMessage, parts: int) -> list[SyncMessage]:
     away.  When grouping leaves fewer cut points than requested, fewer
     segments come back.
     """
-    if parts <= 1 or len(msg.payload) <= 1:
+    payload = msg.payload
+    if parts <= 1 or len(payload) <= 1:
         return [msg]
-    last_use: dict[Element, int] = {}
-    for i, t in enumerate(msg.payload):
-        last_use[t.op.element] = i
-    blocks: list[tuple[TaggedOp, ...]] = []
-    start = 0
+    last_use = {t.op.element: i for i, t in enumerate(payload)}
+    # Forward: a segment may end where no element seen so far recurs.
+    ends: list[int] = []
     horizon = 0
-    for i, t in enumerate(msg.payload):
+    for i, t in enumerate(payload):
         horizon = max(horizon, last_use[t.op.element])
         if i == horizon:
-            blocks.append(msg.payload[start : i + 1])
-            start = i + 1
-    parts = min(parts, len(blocks))
+            ends.append(i + 1)
+    parts = min(parts, len(ends))
     if parts == 1:
         return [msg]
-    size, extra = divmod(len(blocks), parts)
-    chunks: list[tuple[TaggedOp, ...]] = []
-    at = 0
-    for i in range(parts):
-        end = at + size + (1 if i < extra else 0)
-        chunks.append(tuple(t for block in blocks[at:end] for t in block))
-        at = end
-
+    # The first `extra` segments take one element group more than the rest.
+    size, extra = divmod(len(ends), parts)
+    cuts = [0] + [ends[k * size + min(k, extra) - 1] for k in range(1, parts + 1)]
+    # Backward: cap each ack map below the first seq a later segment carries.
     out: list[SyncMessage] = []
-    for i, chunk in enumerate(chunks):
-        first_later: dict[PeerId, int] = {}
-        for later in chunks[i + 1 :]:
-            for t in later:
-                if t.origin not in first_later:
-                    first_later[t.origin] = t.origin_seq
+    first_later: dict[PeerId, int] = {}
+    for i in range(parts, 0, -1):
+        chunk = payload[cuts[i - 1] : cuts[i]]
         ack: dict[PeerId, int] = {}
         for origin, seq in msg.ack.items():
             capped = min(seq, first_later.get(origin, seq + 1) - 1)
             if capped > 0:
                 ack[origin] = capped
         out.append(SyncMessage(msg.sender, msg.receiver, chunk, ack))
+        for t in reversed(chunk):
+            first_later[t.origin] = t.origin_seq
+    out.reverse()
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from . import core, peer as peermod, resolution
 from .core import (
@@ -95,6 +96,11 @@ class Scenario:
     peers: tuple[tuple[str, frozenset], ...]
     links: tuple[tuple[str, str], ...]
     events: tuple[Event, ...]
+
+    @cached_property
+    def neighbors(self) -> dict[str, tuple[str, ...]]:
+        """Each peer's neighbors, from the first `_validate` that passes."""
+        return _validate(self)
 
 
 def _link_key(a: str, b: str) -> tuple[str, str]:
@@ -211,12 +217,12 @@ def render_report(report: RunReport) -> str:
 
 def _validate(
     scenario: Scenario, lines: dict[tuple[str, int], int] | None = None
-) -> dict[str, str]:
+) -> dict[str, tuple[str, ...]]:
     """Check that peers, links and events name each other consistently.
 
     The links must form a forest (see the precondition in `peer`).  Returns
-    each peer's link-connected component, named by one of its members.
-    `lines` maps ("peer" | "link" | "event", index) to a source line.
+    each peer's neighbors in link order.  `lines` maps ("peer" | "link" |
+    "event", index) to a source line.
     """
 
     def fail(message: str, kind: str, index: int) -> None:
@@ -225,19 +231,20 @@ def _validate(
     def check_elements(members, kind: str, index: int) -> None:
         for x in members:
             if not core.is_wire_element(x):
-                fail(f"element {x!r} cannot cross the wire", kind, index)
+                shown = core.describe_element(x)
+                fail(f"element {shown} cannot cross the wire", kind, index)
 
-    declared: set[str] = set()
+    neighbors: dict[str, list[str]] = {}
     for i, (name, initial) in enumerate(scenario.peers):
         if not peermod._PEER_ID_RE.fullmatch(name):
             fail(f"bad peer id {name}", "peer", i)
-        if name in declared:
+        if name in neighbors:
             fail(f"duplicate peer {name}", "peer", i)
-        declared.add(name)
+        neighbors[name] = []
         check_elements(initial, "peer", i)
 
     # Union-find: a link joining two already connected peers closes a cycle.
-    parent = {name: name for name in declared}
+    parent = {name: name for name in neighbors}
 
     def root(name: str) -> str:
         while parent[name] != name:
@@ -247,7 +254,7 @@ def _validate(
     keys: set[tuple[str, str]] = set()
     for i, (a, b) in enumerate(scenario.links):
         for name in (a, b):
-            if name not in declared:
+            if name not in neighbors:
                 fail(f"undeclared peer {name}", "link", i)
         if a == b:
             fail(f"link from {a} to itself", "link", i)
@@ -257,6 +264,8 @@ def _validate(
             fail(f"link {a} {b} closes a cycle; links must form a forest", "link", i)
         parent[root(b)] = root(a)
         keys.add(_link_key(a, b))
+        neighbors[a].append(b)
+        neighbors[b].append(a)
 
     for i, event in enumerate(scenario.events):
         if isinstance(event, (SyncEvent, PartitionEvent, HealEvent)):
@@ -267,7 +276,7 @@ def _validate(
             )
             if _link_key(*pair) not in keys:
                 fail(f"no link between {pair[0]} and {pair[1]}", "event", i)
-        elif event.peer not in declared:
+        elif event.peer not in neighbors:
             fail(f"undeclared peer {event.peer}", "event", i)
         elif isinstance(event, OpEvent):
             if event.intent not in _INTENTS:
@@ -275,7 +284,7 @@ def _validate(
             check_elements((event.element,), "event", i)
         elif isinstance(event, CheckEvent):
             check_elements(event.expected, "event", i)
-    return {name: root(name) for name in declared}
+    return {name: tuple(names) for name, names in neighbors.items()}
 
 
 def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunReport:
@@ -285,15 +294,10 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
     wire segments at most (sizes drawn from the seeded generator), which
     must not change any outcome.
     """
-    component = _validate(scenario)
+    neighbors = scenario.neighbors
     rng = random.Random(seed)
-
-    neighbors: dict[str, list[str]] = {name: [] for name, _ in scenario.peers}
-    for a, b in scenario.links:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
     peers = {
-        name: peermod.init_peer(name, initial, tuple(neighbors[name]))
+        name: peermod.init_peer(name, initial, neighbors[name])
         for name, initial in scenario.peers
     }
     link_up = {_link_key(a, b): True for a, b in scenario.links}
@@ -347,13 +351,10 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
             raise type(exc)(f"event {index} ({render_event(event)}): {exc}") from exc
 
     final_states = {name: frozenset(p.data) for name, p in peers.items()}
-    convergence = all(
-        members == final_states[component[name]]
-        for name, members in final_states.items()
-    )
     return RunReport(
         final_states=final_states,
-        convergence=convergence,
+        # Both ends of every link agree: on any graph, one set per component.
+        convergence=all(final_states[a] == final_states[b] for a, b in scenario.links),
         checks=tuple(checks),
         ops_applied=ops_applied,
         messages_delivered=messages_delivered,
@@ -498,7 +499,7 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
     `dst`, and marks only ever move to class roots, so they stay known.  The
     next scan of that history for `dst` starts at the direction's cursor.
     """
-    _validate(scenario)
+    scenario.neighbors  # checks the scenario, once per object
     mirrors = {name: _MirrorPeer(set(initial)) for name, initial in scenario.peers}
     link_up = {_link_key(a, b): True for a, b in scenario.links}
     classes = _IntentClasses([m.known for m in mirrors.values()])

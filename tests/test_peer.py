@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -67,6 +68,13 @@ def test_init_peer_rejects_self_and_duplicates():
         init_peer("P Q", frozenset(), ())
 
 
+@pytest.mark.parametrize("bad", ["b)", "Q R", "", "P:1"])
+def test_init_peer_refuses_neighbor_ids_the_wire_cannot_name(bad):
+    # Every message to such a neighbor would fail `parse_sync_message`.
+    with pytest.raises(ValueError, match=re.escape(f"bad neighbor id: {bad!r}")):
+        init_peer("P", frozenset(), ("Q", bad))
+
+
 def test_isolated_peer():
     p = init_peer("P", frozenset(), ())
     assert p.neighbors == {}
@@ -99,12 +107,15 @@ def test_local_update_rejects_unknown_intent():
 
 @pytest.mark.parametrize(
     "x", [3.5, True, "5", "", "a b", "x,y", "x]", Triple("x,y", 1, 2),
-          Decimal(5), Fraction(5), Triple("a", "k", Decimal(1))]
+          Decimal(5), Fraction(5), Triple("a", "k", Decimal(1)),
+          # Longer than sys.get_int_max_str_digits(): str() refuses them.
+          pytest.param(10**5000, id="10**5000"),
+          pytest.param(-(10**5000), id="-10**5000")]
 )
 def test_local_update_refuses_elements_the_wire_cannot_carry(x):
     p = init_peer("P", frozenset(), ("Q",))
     for intent in ("insert", "delete"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot cross the wire"):
             local_update(p, intent, x)
     assert p.data == set() and p.log == [] and p.applied_seqs == {}
 
@@ -368,6 +379,34 @@ def test_payload_no_log_could_produce_is_refused(line, tag):
     assert (q.data, q.log, q.applied_seqs, q.neighbors) == before
 
 
+def _refuses_unchanged(peer, msg, tag):
+    before = copy.deepcopy(peer)
+    with pytest.raises(ValueError, match=f"claims {tag},"):
+        handle_sync(peer, msg)
+    assert peer == before
+
+
+def test_ack_map_claiming_an_op_never_issued_here_is_refused():
+    # Only Q issues Q's tags, so no honest ack map names a Q tag above Q's
+    # counter.  Merged, this one would mark Q:2 as held by P, and Q's next op
+    # would take Q:3.  (A forged ack of Q:1, issued but never sent, is within
+    # the counter, so this check cannot see it.)
+    p, q = make_pair(frozenset())
+    local_update(q, "insert", 1)
+    _refuses_unchanged(q, SyncMessage("P", "Q", (), {"Q": 2}), "Q:2")
+
+
+def test_ack_map_reaching_past_a_restored_snapshot_is_refused():
+    # Q is restored from before Q:2, which P already holds.  P never sends
+    # Q's own ops back, so Q cannot recover 2; merging P's ack would hide it.
+    p, q = make_pair(frozenset())
+    local_update(q, "insert", 1)
+    snapshot = copy.deepcopy(q)
+    local_update(q, "insert", 2)
+    exchange(q, p)
+    _refuses_unchanged(snapshot, prepare_sync(p, "Q"), "Q:2")
+
+
 @pytest.mark.parametrize(
     "record", [Op.insert(5), Op.delete("a"), TaggedOp(Op.insert(5), "P", 3)]
 )
@@ -551,6 +590,99 @@ def test_split_degenerate_cases():
         {"P": 3},
     )
     assert split_message(tangled, 2) == [tangled]
+
+
+def _rescanning_split(msg, parts):
+    # split_message before its one-pass form: a block list, a chunk list,
+    # and every later chunk rescanned for each chunk's ack caps.
+    if parts <= 1 or len(msg.payload) <= 1:
+        return [msg]
+    last_use = {}
+    for i, t in enumerate(msg.payload):
+        last_use[t.op.element] = i
+    blocks = []
+    start = 0
+    horizon = 0
+    for i, t in enumerate(msg.payload):
+        horizon = max(horizon, last_use[t.op.element])
+        if i == horizon:
+            blocks.append(msg.payload[start : i + 1])
+            start = i + 1
+    parts = min(parts, len(blocks))
+    if parts == 1:
+        return [msg]
+    size, extra = divmod(len(blocks), parts)
+    chunks = []
+    at = 0
+    for i in range(parts):
+        end = at + size + (1 if i < extra else 0)
+        chunks.append(tuple(t for block in blocks[at:end] for t in block))
+        at = end
+    out = []
+    for i, chunk in enumerate(chunks):
+        first_later = {}
+        for later in chunks[i + 1 :]:
+            for t in later:
+                if t.origin not in first_later:
+                    first_later[t.origin] = t.origin_seq
+        ack = {}
+        for origin, seq in msg.ack.items():
+            capped = min(seq, first_later.get(origin, seq + 1) - 1)
+            if capped > 0:
+                ack[origin] = capped
+        out.append(SyncMessage(msg.sender, msg.receiver, chunk, ack))
+    return out
+
+
+def _tagged_payload(entries):
+    """(origin, element, seq gap) triples to a payload: seqs rise per origin
+    and each element's kinds alternate, as in a log."""
+    seqs, present, payload = {}, set(), []
+    for origin, element, gap in entries:
+        seqs[origin] = seqs.get(origin, 0) + gap
+        op = Op.delete(element) if element in present else Op.insert(element)
+        present ^= {element}
+        payload.append(TaggedOp(op, origin, seqs[origin]))
+    return tuple(payload), seqs
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("PQR"), st.integers(0, 5), st.integers(1, 3)),
+        max_size=14,
+    ),
+    st.dictionaries(st.sampled_from("PQRS"), st.integers(0, 4)),
+    st.integers(1, 5),
+)
+def test_split_matches_the_rescanning_split(entries, ack_extra, parts):
+    payload, seqs = _tagged_payload(entries)
+    # The ack map covers the payload and may run ahead of it, or name
+    # origins the payload does not carry.
+    ack = {o: seqs.get(o, 0) + extra for o, extra in ack_extra.items()}
+    ack = {o: s for o, s in {**seqs, **ack}.items() if s > 0}
+    msg = SyncMessage("P", "Q", payload, ack)
+    assert split_message(msg, parts) == _rescanning_split(msg, parts)
+
+
+@pytest.mark.parametrize(
+    "entries,ack,parts",
+    [
+        ([], {"P": 3}, 3),
+        ([("P", 1, 1)], {"P": 1}, 2),
+        # One element spans the payload: no cut exists.
+        ([("P", 1, 1), ("P", 2, 1), ("P", 1, 1)], {"P": 3}, 4),
+        # Three groups into two segments: the first takes the extra group.
+        ([("P", 1, 1), ("Q", 2, 1), ("P", 3, 1)], {"P": 2, "Q": 1}, 2),
+        # More parts than groups, interleaved origins, an idle origin R.
+        ([("P", 1, 1), ("Q", 2, 2), ("Q", 1, 1), ("P", 4, 1), ("Q", 5, 3)],
+         {"P": 6, "Q": 9, "R": 2}, 5),
+    ],
+    ids=["empty", "single", "uncuttable", "balanced", "more-parts"],
+)
+def test_split_matches_the_rescanning_split_on_fixed_cases(entries, ack, parts):
+    msg = SyncMessage("P", "Q", _tagged_payload(entries)[0], ack)
+    assert split_message(msg, parts) == _rescanning_split(msg, parts)
 
 
 # ---------------------------------------------------------------------------

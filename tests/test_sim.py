@@ -230,10 +230,23 @@ def test_elements_the_wire_cannot_carry_are_rejected():
     ):
         with pytest.raises(ScenarioError, match="cannot cross the wire"):
             run_scenario(sc, seed=0)
+    # Ints longer than sys.get_int_max_str_digits() have no text at all.
+    for x in (10**5000, -(10**5000)):
+        sc = Scenario((("P", frozenset()),), (), (OpEvent("P", "insert", x),))
+        with pytest.raises(ScenarioError, match="cannot cross the wire"):
+            run_scenario(sc, seed=0)
     # A peer's name is not an element: a peer may be named 5.
     sc = parse_scenario("PEER 5 {(a,k,1),(b,k,2)}\nRESOLVE 5\nCHECK 5 {(b,k,2)}\n")
     assert sc.events[0] == ResolveEvent("5")
     assert run_scenario(sc, seed=0).checks_passed
+
+
+def test_reference_run_alone_refuses_a_fresh_bad_scenario():
+    # The judge checks by itself, and a check that failed is not kept.
+    bad = Scenario((("P", frozenset()),), (("P", "Q"),), ())
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="undeclared peer Q"):
+            reference_run(bad)
 
 
 def test_convergence_is_judged_per_component():
