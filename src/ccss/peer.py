@@ -11,7 +11,7 @@ acknowledgment map (highest origin_seq per origin the sender has applied),
 which covers the payload.  For every o:s under the ack map, the receiver
 either already holds o:s, or this message's payload carries it, or its effect
 cancels against another operation covered by the same message (a pairing
-the sender only forms between operations never previously offered to this
+the sender only forms between operations above the ack map last sent to this
 receiver, so the receiver cannot hold half of the pair), or it duplicates
 an operation the receiver already holds.  The receiver therefore treats
 everything under the ack map as delivered, and merging that map is the only
@@ -85,16 +85,15 @@ class NeighborState:
     incoming op is struck out as a duplicate of a local entry, the two are
     the same intent, so sending the local entry back would double-apply it.
 
-    offered_entries records entries actually placed in a payload for this
-    neighbor and not yet acknowledged.  Entries never offered can be
-    summarized per element (the neighbor cannot hold any of them), while an
-    offered entry may already sit applied at the neighbor, so any element
-    tail containing one is repeated verbatim until acknowledged.
+    sent_ack is the ack map of the last message prepared for the neighbor
+    (that message's own dict, which nothing mutates).  The neighbor cannot
+    hold an entry above it, so such entries may be summarized per element,
+    and it can honestly acknowledge none of this peer's own ops above it.
     """
 
     received_watermark: dict[PeerId, int] = field(default_factory=dict)
     known_entries: set[tuple[PeerId, int]] = field(default_factory=set)
-    offered_entries: set[tuple[PeerId, int]] = field(default_factory=set)
+    sent_ack: dict[PeerId, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +215,9 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
     canceling and avoids the wire entirely (the ack map still covers it,
     see the wire contract above) and an odd tail is represented by its
     final op alone.  Summarizing is only sound while the receiver cannot
-    hold any piece of the tail, so a tail containing a previously offered
-    entry is repeated verbatim instead and the receiver sorts it out.
+    hold any piece of the tail, so a tail whose first entry is under the ack
+    map last sent to the neighbor (the entries under it are a log prefix) is
+    repeated verbatim instead and the receiver sorts it out.
     """
     state = peer.neighbors.get(neighbor)
     if state is None:
@@ -225,25 +225,25 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
 
     tails = _element_tails(peer.log, state.received_watermark, state.known_entries)
     log = peer.log
-    offered = state.offered_entries
+    sent = state.sent_ack
     picked: list[int] = []
     for tail in tails.values():
         if not tail:
             continue
-        if offered and any((log[i].origin, log[i].origin_seq) in offered for i in tail):
+        first = log[tail[0]]
+        if first.origin_seq <= sent.get(first.origin, 0):
             picked.extend(tail)
         elif len(tail) % 2 == 1:
             picked.append(tail[-1])
     # Sorted tail positions give log order without a second scan: each origin's
     # seqs must rise through a payload (split_message's ack caps, applied_seqs).
     picked.sort()
-    payload = tuple(log[i] for i in picked)
-    offered |= {(t.origin, t.origin_seq) for t in payload}
+    state.sent_ack = dict(peer.applied_seqs)
     return SyncMessage(
         sender=peer.id,
         receiver=neighbor,
-        payload=payload,
-        ack=dict(peer.applied_seqs),
+        payload=tuple(log[i] for i in picked),
+        ack=state.sent_ack,
     )
 
 
@@ -261,8 +261,8 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     payload that no log could have produced raises ValueError naming the
     first bad entry: one outside its own ack map, one whose origin's seqs do
     not rise, a Nop, or one repeating the kind of the previous op on its
-    element.  So does an ack map claiming an op of this peer's own that it
-    has not issued.  An op that is not effectful here raises InvalidInsert
+    element.  So does an ack map claiming an own op above the ack map last
+    sent to the sender.  An op that is not effectful here raises InvalidInsert
     or InvalidDelete.  Every error leaves the peer unchanged.
     """
     if msg.receiver != peer.id:
@@ -270,10 +270,10 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     state = peer.neighbors.get(msg.sender)
     if state is None:
         raise UnknownNeighbor(f"{peer.id}: unknown neighbor {msg.sender}")
-    # Only this peer issues its own tags, so no honest ack map runs ahead.
+    # On a forest, own ops reach the sender only in this peer's messages.
     claimed = msg.ack.get(peer.id, 0)
-    if claimed > peer.applied_seqs.get(peer.id, 0):
-        raise ValueError(f"ack map claims {peer.id}:{claimed}, never issued here")
+    if claimed > state.sent_ack.get(peer.id, 0):
+        raise ValueError(f"ack map claims {peer.id}:{claimed}, not yet sent")
     # A payload is a slice of a log: under its own ack map, each origin's
     # seqs rising, every op effectful, and each element's kinds alternating.
     last_seq: dict[PeerId, int] = {}
@@ -344,12 +344,11 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
         if seq > state.received_watermark.get(origin, 0):
             state.received_watermark[origin] = seq
     # Acknowledged entries leave the candidate pool by the ack map filter,
-    # so the per-entry exception sets can forget them.
-    for marks in (state.known_entries, state.offered_entries):
-        stale = {
-            k for k in marks if k[1] <= state.received_watermark.get(k[0], 0)
-        }
-        marks -= stale
+    # so the twin marks can forget them.
+    stale = {
+        k for k in state.known_entries if k[1] <= state.received_watermark.get(k[0], 0)
+    }
+    state.known_entries -= stale
     return tuple(applied)
 
 

@@ -155,7 +155,9 @@ def parse_scenario(text: str) -> Scenario:
     if not built["peer"]:
         raise ScenarioError("scenario declares no peers", line=1)
     scenario = Scenario(*(tuple(built[kind]) for kind in ("peer", "link", "event")))
-    _validate(scenario, lines)
+    # Stored where `Scenario.neighbors` (a non-data descriptor) finds it, so a
+    # parsed scenario is checked once.
+    scenario.__dict__["neighbors"] = _validate(scenario, lines)
     return scenario
 
 

@@ -11,6 +11,10 @@ duplicates and drops messages and their segments in any order over trees of
   peer's `received_watermark` for N;
 - when a message from N brings `handle_sync` pending entries, its ack map
   covers every entry in the receiver's log that N originated.
+
+A third fact lets `peer.prepare_sync` judge an element tail by its first
+entry alone: the entries of a peer's log under the ack map it last sent a
+neighbor (`NeighborState.sent_ack`) are a prefix of the log.
 """
 
 import random
@@ -102,6 +106,9 @@ def drive(seed):
             for neighbor, state in peer.neighbors.items():
                 missed = uncovered(peer.log, neighbor, state.received_watermark)
                 assert missed == [], (seed, step, peer.id, neighbor, missed)
+                sent = state.sent_ack
+                told = [e.origin_seq <= sent.get(e.origin, 0) for e in peer.log]
+                assert told == sorted(told, reverse=True), (seed, step, peer.id)
     return bitten
 
 

@@ -203,6 +203,35 @@ def test_prepare_resends_offered_tail_verbatim_after_loss():
     assert q.applied_seqs == {"P": 2}
 
 
+def test_prepare_repeats_a_tail_under_the_last_ack_map_sent():
+    # A tail is repeated verbatim when its first entry is under the ack map
+    # last sent, even if that message summarized the entry away.  An earlier
+    # rule repeated only tails holding an entry actually sent, and so sent
+    # +1@P:3 alone here; this test fails under it by design.
+    p, q = make_pair(frozenset())
+    local_update(p, "insert", 1)
+    local_update(p, "delete", 1)
+    lost = prepare_sync(p, "Q")
+    assert lost.payload == () and lost.ack == {"P": 2}
+    local_update(p, "insert", 1)
+    retry = prepare_sync(p, "Q")
+    assert [(t.op, t.origin_seq) for t in retry.payload] == [
+        (Op.insert(1), 1),
+        (Op.delete(1), 2),
+        (Op.insert(1), 3),
+    ]
+    assert handle_sync(q, retry) == (Op.insert(1),)
+    # Once Q's reply covers what P told it, a fresh canceling pair is
+    # summarized away again.
+    exchange(q, p)
+    local_update(p, "insert", 2)
+    local_update(p, "delete", 2)
+    fresh = prepare_sync(p, "Q")
+    assert fresh.payload == () and fresh.ack == {"P": 5}
+    handle_sync(q, fresh)
+    assert p.data == q.data == {1}
+
+
 def test_prepare_summarizes_virgin_run_to_final_op():
     p, _ = make_pair(frozenset())
     local_update(p, "insert", 1)
@@ -276,14 +305,14 @@ def test_handle_redelivery_is_idempotent():
     before = (set(q.data), list(q.log))
     assert handle_sync(q, msg) == ()
     assert (set(q.data), list(q.log)) == before
-    # Q's reply carries only its ack map; it settles what P offered and
+    # Q's reply carries only its ack map; it covers what P told Q and
     # changes nothing else at P.
-    assert p.neighbors["Q"].offered_entries == {("P", 1)}
+    assert p.neighbors["Q"].sent_ack == {"P": 1}
     reply = prepare_sync(q, "P")
     assert reply.payload == () and reply.ack == {"P": 1}
     before = (set(p.data), list(p.log))
     assert handle_sync(p, reply) == ()
-    assert p.neighbors["Q"].offered_entries == set()
+    assert p.neighbors["Q"].received_watermark == p.neighbors["Q"].sent_ack
     assert (set(p.data), list(p.log)) == before
 
 
@@ -389,11 +418,29 @@ def _refuses_unchanged(peer, msg, tag):
 def test_ack_map_claiming_an_op_never_issued_here_is_refused():
     # Only Q issues Q's tags, so no honest ack map names a Q tag above Q's
     # counter.  Merged, this one would mark Q:2 as held by P, and Q's next op
-    # would take Q:3.  (A forged ack of Q:1, issued but never sent, is within
-    # the counter, so this check cannot see it.)
+    # would take Q:3.  The check compares with the ack map Q last sent P, so
+    # it also refuses Q:1, issued but never sent (the next test).
     p, q = make_pair(frozenset())
     local_update(q, "insert", 1)
     _refuses_unchanged(q, SyncMessage("P", "Q", (), {"Q": 2}), "Q:2")
+
+
+def test_ack_map_claiming_an_op_never_sent_is_refused():
+    # Q issued Q:1 but never told P of it.  Merged, this ack would mark Q:1
+    # as held by P, so Q would never send it: P stays at {} and Q at {1}.
+    p, q = make_pair(frozenset())
+    local_update(q, "insert", 1)
+    _refuses_unchanged(q, SyncMessage("P", "Q", (), {"Q": 1}), "Q:1")
+
+
+def test_ack_map_claiming_an_op_sent_on_another_link_is_refused():
+    # Each link keeps its own record: H told P of H:1, and R nothing.
+    h = init_peer("H", frozenset(), ("P", "R"))
+    local_update(h, "insert", 1)
+    prepare_sync(h, "P")
+    _refuses_unchanged(h, SyncMessage("R", "H", (), {"H": 1}), "H:1")
+    assert handle_sync(h, SyncMessage("P", "H", (), {"H": 1})) == ()
+    assert h.neighbors["P"].received_watermark == {"H": 1}
 
 
 def test_ack_map_reaching_past_a_restored_snapshot_is_refused():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ccss import sim
 from ccss.core import CcssError, Op, Triple
 from ccss.sim import (
     _IntentClasses,
@@ -247,6 +248,21 @@ def test_reference_run_alone_refuses_a_fresh_bad_scenario():
     for _ in range(2):
         with pytest.raises(ScenarioError, match="undeclared peer Q"):
             reference_run(bad)
+
+
+def test_a_parsed_scenario_is_checked_once(monkeypatch):
+    calls = []
+    real = sim._validate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sim, "_validate", counting)
+    sc = parse_scenario(RECONNECT)
+    run_scenario(sc, seed=0)
+    reference_run(sc)
+    assert len(calls) == 1
 
 
 def test_convergence_is_judged_per_component():

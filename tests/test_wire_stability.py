@@ -23,8 +23,8 @@ from ccss.peer import (
 )
 from ccss.sim import OpEvent, SyncEvent, random_workload
 
-HEAL_DIGEST = "1ffa6e0694b4b37f33847f90f098faa981d49bac7b41c92af3b8d95b3176a559"
-WORKLOAD_DIGEST = "4b7f38791829cc6308015c18226fc24a111b0fe7072cf8c2f2487bfa08feed7a"
+HEAL_DIGEST = "18080b016d81001d64152a6c7e61800a4d158ee49dbafb0f5910ebf133cec38d"
+WORKLOAD_DIGEST = "b1a6d44829338819cae33010c3da20462f7b3f5675fe151ffb4f3cdaac7c9458"
 
 
 def _deliver(src, dst, lines, segments=1, rng=None):
@@ -48,7 +48,8 @@ def _heal_lines():
     previous one (canceling pairs) and some come from a pool both sides
     touch (concurrent duplicates).  The pool holds tokens and triples too.
     In the second round A's first heal message is lost, so the resend
-    repeats offered tails verbatim.
+    repeats verbatim every tail whose first entry is under the ack map of
+    the lost message.
     """
     rng = random.Random("wire-stability:heal")
     universe = 4000
