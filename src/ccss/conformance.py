@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from . import core
 from .core import (
-    DivergenceError,
     Element,
     ElementSet,
     Op,
@@ -62,10 +61,7 @@ def oracle_merge(
                 deletes.add(op.element)
     clash = inserts & deletes
     if clash:
-        k = sorted(clash, key=core.element_sort_key)[0]
-        raise DivergenceError(
-            f"histories disagree on {core.render_element(k)}: insert vs delete"
-        )
+        raise core.disagreement(min(clash, key=core.element_sort_key), _INSERT, _DELETE)
     return (frozenset(members) - deletes) | inserts
 
 

@@ -131,6 +131,14 @@ def ineffective(op: Op, index: int | None = None) -> InvalidInsert | InvalidDele
     return err
 
 
+def disagreement(x: Element, ours: OpKind, theirs: OpKind) -> DivergenceError:
+    """The error for two histories carrying ops of opposite kind on `x`."""
+    return DivergenceError(
+        f"histories disagree on {render_element(x)}: "
+        f"{ours.name.lower()} vs {theirs.name.lower()}"
+    )
+
+
 def apply_op(members: Iterable[Element], op: Op) -> ElementSet:
     """Apply one operation, insisting on effectfulness."""
     members = frozenset(members)
@@ -209,46 +217,36 @@ def normalize(seq: Sequence[Op]) -> OpSeq:
     return tuple(ops)
 
 
-def _suppress_shared(seq: Sequence[Op], against: Sequence[Op]) -> OpSeq:
-    """Nop out ops of `seq` whose element also appears (non-Nop) in `against`.
+def transform_remote(local_ops: Sequence[Op], remote_ops: Sequence[Op]) -> OpSeq:
+    """Rewrite remote operations so they apply after `local_ops`.
 
-    A shared element with differing kinds is contradictory for histories that
-    grew from the same base, so it raises DivergenceError.
+    Both inputs must be normalized and valid against the same base set.  A
+    remote op duplicating a local op (same element, same kind) becomes Nop;
+    everything else passes through unchanged.  A shared element with
+    differing kinds is contradictory for such histories, so it raises
+    DivergenceError.
     """
     # Nop is the only op without an element, so the None key it leaves
-    # behind is dropped and every op of `seq` costs one lookup.
-    kinds: dict[Element, OpKind] = {op.element: op.kind for op in against}
+    # behind is dropped and every remote op costs one lookup.
+    kinds: dict[Element, OpKind] = {op.element: op.kind for op in local_ops}
     kinds.pop(None, None)
     if not kinds:
-        return tuple(seq)
+        return tuple(remote_ops)
     out: list[Op] = []
-    for op in seq:
+    for op in remote_ops:
         kind = kinds.get(op.element)
         if kind is None:
             out.append(op)
         elif kind is op.kind:
             out.append(NOP)
         else:
-            raise DivergenceError(
-                f"histories disagree on {render_element(op.element)}: "
-                f"{kind.name.lower()} vs {op.kind.name.lower()}"
-            )
+            raise disagreement(op.element, kind, op.kind)
     return tuple(out)
-
-
-def transform_remote(local_ops: Sequence[Op], remote_ops: Sequence[Op]) -> OpSeq:
-    """Rewrite remote operations so they apply after `local_ops`.
-
-    Both inputs must be normalized and valid against the same base set.  A
-    remote op duplicating a local op (same element, same kind) becomes Nop;
-    everything else passes through unchanged.
-    """
-    return _suppress_shared(remote_ops, local_ops)
 
 
 def transform_local(local_ops: Sequence[Op], remote_ops: Sequence[Op]) -> OpSeq:
     """Rewrite local operations so the remote sequence can be applied as-is."""
-    return _suppress_shared(local_ops, remote_ops)
+    return transform_remote(remote_ops, local_ops)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ _PEER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 # An ack item or a payload tag: a peer id, then a sequence number in ASCII
 # digits (`[0-9]`, unlike `\d`, matches no other script's digits).
 _TAG_RE = re.compile(rf"({_PEER_ID_RE.pattern}):([0-9]+)")
+# A message line: four space-free fields after "MSG", in this order.
+_MSG_RE = re.compile(r"MSG from=([^ ]*) to=([^ ]*) ack=([^ ]*) ops=([^ ]*)")
 
 
 class DuplicateNeighbor(CcssError):
@@ -85,8 +87,8 @@ class NeighborState:
     incoming op is struck out as a duplicate of a local entry, the two are
     the same intent, so sending the local entry back would double-apply it.
 
-    sent_ack is the ack map of the last message prepared for the neighbor
-    (that message's own dict, which nothing mutates).  The neighbor cannot
+    sent_ack is a copy of the ack map of the last message prepared for the
+    neighbor, so whoever holds the message may edit it.  The neighbor cannot
     hold an entry above it, so such entries may be summarized per element,
     and it can honestly acknowledge none of this peer's own ops above it.
     """
@@ -243,7 +245,7 @@ def prepare_sync(peer: PeerState, neighbor: PeerId) -> SyncMessage:
         sender=peer.id,
         receiver=neighbor,
         payload=tuple(log[i] for i in picked),
-        ack=state.sent_ack,
+        ack=dict(peer.applied_seqs),
     )
 
 
@@ -262,8 +264,10 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     first bad entry: one outside its own ack map, one whose origin's seqs do
     not rise, a Nop, or one repeating the kind of the previous op on its
     element.  So does an ack map claiming an own op above the ack map last
-    sent to the sender.  An op that is not effectful here raises InvalidInsert
-    or InvalidDelete.  Every error leaves the peer unchanged.
+    sent to the sender, and so does what the wire could not carry onward: a
+    new ack origin that is not a peer id, or a new entry whose element fails
+    `core.is_wire_element`.  An op that is not effectful here raises
+    InvalidInsert or InvalidDelete.  Every error leaves the peer unchanged.
     """
     if msg.receiver != peer.id:
         raise ValueError(f"message for {msg.receiver} handled by {peer.id}")
@@ -274,6 +278,12 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     claimed = msg.ack.get(peer.id, 0)
     if claimed > state.sent_ack.get(peer.id, 0):
         raise ValueError(f"ack map claims {peer.id}:{claimed}, not yet sent")
+    # A relay re-encodes what it merges and logs, so both must cross the wire.
+    # Every payload origin is under the ack map, and an origin already in
+    # applied_seqs is this peer's id or passed here before.
+    for origin in msg.ack:
+        if origin not in peer.applied_seqs and not _PEER_ID_RE.fullmatch(origin):
+            raise ValueError(f"bad peer id in ack map: {origin!r}")
     # A payload is a slice of a log: under its own ack map, each origin's
     # seqs rising, every op effectful, and each element's kinds alternating.
     last_seq: dict[PeerId, int] = {}
@@ -300,6 +310,10 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     pending = [
         t for t in msg.payload if t.origin_seq > peer.applied_seqs.get(t.origin, 0)
     ]
+    for t in pending:
+        if not is_wire_element(t.op.element):
+            shown = describe_element(t.op.element)
+            raise ValueError(f"element cannot cross the wire: {shown}")
 
     applied: list[Op] = []
     # An ack-only or fully redelivered message carries nothing new: only
@@ -440,23 +454,17 @@ def parse_sync_message(line: str) -> SyncMessage:
     `init_peer` requires), so whatever a relay logs re-encodes to a line
     that parses.  Decoding is linear in the number of payload entries.
     """
-    tokens = line.strip().split(" ")
-    keys = ("from", "to", "ack", "ops")
-    if len(tokens) != 5 or tokens[0] != "MSG":
+    match = _MSG_RE.fullmatch(line.strip())
+    if match is None:
         raise ValueError(f"malformed message: {line!r}")
-    values: dict[str, str] = {}
-    for token, expected in zip(tokens[1:], keys):
-        key, eq, value = token.partition("=")
-        if not eq or key != expected:
-            raise ValueError(f"malformed message field: {token!r}")
-        values[key] = value
-    for key in ("from", "to"):
-        if not _PEER_ID_RE.fullmatch(values[key]):
-            raise ValueError(f"bad peer id in {key}=: {values[key]!r}")
+    sender, receiver, ack_text, ops_text = match.groups()
+    for key, value in (("from", sender), ("to", receiver)):
+        if not _PEER_ID_RE.fullmatch(value):
+            raise ValueError(f"bad peer id in {key}=: {value!r}")
 
     ack: dict[PeerId, int] = {}
-    if values["ack"]:
-        for item in values["ack"].split(","):
+    if ack_text:
+        for item in ack_text.split(","):
             tag = _TAG_RE.fullmatch(item)
             if tag is None:
                 raise ValueError(f"malformed ack item: {item!r}")
@@ -466,9 +474,9 @@ def parse_sync_message(line: str) -> SyncMessage:
             ack[origin] = int(seq)
 
     return SyncMessage(
-        sender=values["from"],
-        receiver=values["to"],
-        payload=tuple(parse_list(values["ops"], "[]", _parse_tagged, "ops list")),
+        sender=sender,
+        receiver=receiver,
+        payload=tuple(parse_list(ops_text, "[]", _parse_tagged, "ops list")),
         ack=ack,
     )
 

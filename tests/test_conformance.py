@@ -1,5 +1,7 @@
 """Oracle merge, exhaustive sequence enumeration, confluence sweeps."""
 
+import itertools
+
 import pytest
 
 from ccss import conformance, core
@@ -14,6 +16,7 @@ from ccss.core import (
     CcssError,
     DivergenceError,
     Op,
+    OpKind,
     apply_seq,
     normalize,
     render_element_set,
@@ -238,3 +241,42 @@ def test_shared_routes_match_a_naive_loop_on_a_clean_sweep():
         report = check_confluence(universe, 3)
         assert (report.checked, report.failures) == (len(seqs) ** 2, [])
         assert naive_confluence(universe, 3) == (len(seqs) ** 2, [])
+
+
+# ---------------------------------------------------------------------------
+# Three-history confluence
+
+
+def three_way_oracle(base, histories):
+    """(base - all deletes) | all inserts; DivergenceError on a kind clash."""
+    ops = [op for history in histories for op in history]
+    inserts = {op.element for op in ops if op.kind is OpKind.INSERT}
+    deletes = {op.element for op in ops if op.kind is OpKind.DELETE}
+    if inserts & deletes:
+        return DivergenceError
+    return (base - deletes) | inserts
+
+
+def merge_in_order(base, x, y, z):
+    """x, then y and z, each rewritten against the normal form before it."""
+    try:
+        y_after = core.transform_remote(x, y)
+        z_after = core.transform_remote(normalize(x + y_after), z)
+        return apply_seq(base, x + y_after + z_after)
+    except CcssError as exc:
+        return type(exc)
+
+
+def test_three_histories_merge_to_the_oracle_in_every_order():
+    # A hub merges a third history on top of a merge, so the order of the
+    # three must not matter (operational transformation's TP2; Ressel et
+    # al., CSCW 1996).  Each ordered triple of normal forms is one order.
+    routes = 0
+    for base in (frozenset(), frozenset({1}), frozenset({1, 2})):
+        seqs = enumerate_valid_seqs(Universe((1, 2, 3), base), 3)
+        forms = list(dict.fromkeys(normalize(s) for s in seqs))
+        for x, y, z in itertools.product(forms, repeat=3):
+            expected = three_way_oracle(base, (x, y, z))
+            assert merge_in_order(base, x, y, z) == expected, (base, x, y, z)
+            routes += 1
+    assert routes == 52_728

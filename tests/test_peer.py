@@ -341,7 +341,14 @@ def test_handle_wrong_receiver_and_unknown_sender():
 
 @pytest.mark.parametrize(
     "bad,error",
-    [(Op.insert(1), InvalidInsert), (Op.delete(9), InvalidDelete)],
+    [
+        (TaggedOp(Op.insert(1), "Q", 3), InvalidInsert),
+        (TaggedOp(Op.delete(9), "Q", 3), InvalidDelete),
+        # Applied, 1.5 would reach P's neighbours as the token '1.5'.
+        (TaggedOp(Op.insert(1.5), "Q", 3), ValueError),
+        # Merged, the origin would make P's next message a line no peer parses.
+        (TaggedOp(Op.insert(6), "a b", 1), ValueError),
+    ],
 )
 def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
     p, q = make_pair()
@@ -350,9 +357,12 @@ def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
     exchange(p, q)
     prepare_sync(p, "Q")  # offered, not yet acknowledged
     before = copy.deepcopy((p.data, p.log, p.applied_seqs, p.neighbors))
-    # Crafted: Q's first op is fine on its own, its second is not effectful.
+    # Crafted: Q's first op is fine on its own, its second cannot be taken.
     crafted = SyncMessage(
-        "Q", "P", (TaggedOp(Op.insert(3), "Q", 2), TaggedOp(bad, "Q", 3)), {"Q": 3}
+        "Q",
+        "P",
+        (TaggedOp(Op.insert(3), "Q", 2), bad),
+        {"Q": 3, bad.origin: bad.origin_seq},
     )
     with pytest.raises(error):
         handle_sync(p, crafted)
@@ -452,6 +462,21 @@ def test_ack_map_reaching_past_a_restored_snapshot_is_refused():
     local_update(q, "insert", 2)
     exchange(q, p)
     _refuses_unchanged(snapshot, prepare_sync(p, "Q"), "Q:2")
+
+
+def test_a_prepared_message_shares_no_dict_with_its_sender():
+    # Whoever holds a message may reuse or edit its dicts.  Had A's record of
+    # what it told B moved with them, A would refuse B's honest ack of A:1.
+    a = init_peer("A", frozenset(), ("B",))
+    b = init_peer("B", frozenset(), ("A",))
+    local_update(a, "insert", 1)
+    msg = prepare_sync(a, "B")
+    line = encode_sync_message(msg)
+    msg.ack.clear()
+    handle_sync(b, parse_sync_message(line))
+    handle_sync(a, prepare_sync(b, "A"))
+    assert a.neighbors["B"].received_watermark == {"A": 1}
+    assert a.data == b.data == {1}
 
 
 @pytest.mark.parametrize(
@@ -730,6 +755,50 @@ def test_split_matches_the_rescanning_split(entries, ack_extra, parts):
 def test_split_matches_the_rescanning_split_on_fixed_cases(entries, ack, parts):
     msg = SyncMessage("P", "Q", _tagged_payload(entries)[0], ack)
     assert split_message(msg, parts) == _rescanning_split(msg, parts)
+
+
+def five_full_rounds(p, q):
+    for _ in range(5):
+        exchange(p, q)
+        exchange(q, p)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 5: a second message sent before the first is "
+    "acknowledged (pipelining) diverges",
+)
+def test_pipelined_messages_converge():
+    p, q = make_pair(frozenset())
+    local_update(q, "insert", 1)
+    m1 = prepare_sync(q, "P")
+    local_update(q, "delete", 1)
+    m2 = prepare_sync(q, "P")
+    local_update(p, "insert", 1)
+    exchange(p, q)
+    handle_sync(p, m1)
+    handle_sync(p, m2)
+    five_full_rounds(p, q)
+    # Today P holds set() and Q holds {1}, for ever.
+    assert p.data == q.data
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 5: segments handled out of order diverge",
+)
+def test_reordered_segments_converge():
+    p, q = make_pair(frozenset())
+    for x in (1, 2, 3, 4):
+        local_update(p, "insert", x)
+    first, second = split_message(prepare_sync(p, "Q"), 2)
+    handle_sync(q, second)
+    handle_sync(q, first)
+    five_full_rounds(p, q)
+    # Today P holds {1,2,3,4} and Q holds {3,4}, for ever.
+    assert p.data == q.data
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ def test_readme_library_example_runs():
 def test_readme_wire_example_round_trips():
     line = code_block(section("Wire format")).strip()
     assert peer.encode_sync_message(peer.parse_sync_message(line)) == line
+    assert f"`{peer._MSG_RE.pattern}`" in section("Wire format")
 
 
 def test_readme_names_every_directive():
