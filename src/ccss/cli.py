@@ -99,11 +99,14 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    # The upper bounds keep each seed's workload buildable: its closing rounds
+    # alone are 2 * peers * (peers - 1) syncs, and its starting set is drawn
+    # over the whole universe.
     for ok, message in (
-        (args.peers >= 2, "--peers must be at least 2"),
-        (args.universe >= 1, "--universe must be at least 1"),
+        (2 <= args.peers <= 100, "--peers must be between 2 and 100"),
+        (1 <= args.universe <= 10**6, "--universe must be between 1 and 1000000"),
         (args.seeds >= 1, "--seeds must be at least 1"),
-        (args.ops >= 0, "--ops must be at least 0"),
+        (0 <= args.ops <= 10**4, "--ops must be between 0 and 10000"),
         (0 <= args.density <= 1, "--density must be between 0 and 1"),
     ):
         if not ok:

@@ -6,6 +6,9 @@ checks); the links must form a forest.  Running a scenario is pure: identical
 scenario text and seed give identical reports.  A sync attempted across a
 partitioned link is recorded as a drop, not an error, and acknowledgments
 make a later sync resend what was lost.
+
+Messages move only on a `World`, of which `run_scenario` is one scripted
+schedule; `reference_run`, the judge, keeps its own bookkeeping.
 """
 
 from __future__ import annotations
@@ -287,20 +290,55 @@ def _validate(
     return {name: tuple(names) for name, names in neighbors.items()}
 
 
+class World:
+    """A scenario's peers and links, with one channel per directed link.
+
+    A channel is the list of messages and segments queued on a link, in send
+    order.  There are two moves: `send` prepares a message and queues its
+    segments, and `deliver` hands one queued message to its receiver.  A
+    schedule loses a message with `del world.channels[link][i]` and
+    duplicates one by queueing it again before it is delivered.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        neighbors = scenario.neighbors
+        self.peers = {
+            name: peermod.init_peer(name, initial, neighbors[name])
+            for name, initial in scenario.peers
+        }
+        self.channels: dict[tuple[str, str], list[peermod.SyncMessage]] = {
+            (a, b): [] for a, names in neighbors.items() for b in names
+        }
+        self.link_up = {_link_key(a, b): True for a, b in scenario.links}
+
+    def send(self, src: str, dst: str, parts: int = 1) -> bool:
+        """Prepare a message and queue it as `parts` segments at most.
+
+        On a partitioned link the message is prepared all the same, but
+        nothing is queued and the result is False."""
+        message = peermod.prepare_sync(self.peers[src], dst)
+        if not self.link_up[_link_key(src, dst)]:
+            return False
+        self.channels[src, dst].extend(peermod.split_message(message, parts))
+        return True
+
+    def deliver(self, link: tuple[str, str], index: int = 0) -> None:
+        """Take the `index`-th message queued on `link` and handle it."""
+        message = self.channels[link].pop(index)
+        peermod.handle_sync(self.peers[link[1]], message)
+
+
 def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunReport:
     """Execute the event list; pure function of (scenario, seed, segments).
 
-    max_segments > 1 delivers each sync payload as that many consecutive
-    wire segments at most (sizes drawn from the seeded generator), which
-    must not change any outcome.
+    A SYNC sends one message on the World and delivers its link's queue in
+    order.  max_segments > 1 sends each message as that many consecutive
+    segments at most (sizes drawn from the seeded generator), which must not
+    change any outcome.
     """
-    neighbors = scenario.neighbors
+    world = World(scenario)
+    peers = world.peers
     rng = random.Random(seed)
-    peers = {
-        name: peermod.init_peer(name, initial, neighbors[name])
-        for name, initial in scenario.peers
-    }
-    link_up = {_link_key(a, b): True for a, b in scenario.links}
 
     ops_applied = 0
     messages_delivered = 0
@@ -316,18 +354,19 @@ def run_scenario(scenario: Scenario, seed: int, max_segments: int = 1) -> RunRep
                 if applied is not None:
                     ops_applied += 1
             elif isinstance(event, SyncEvent):
-                message = peermod.prepare_sync(peers[event.src], event.dst)
-                if not link_up[_link_key(event.src, event.dst)]:
+                parts = rng.randint(2, max_segments) if max_segments > 1 else 1
+                if not world.send(event.src, event.dst, parts):
                     messages_dropped += 1
                     continue
-                parts = rng.randint(2, max_segments) if max_segments > 1 else 1
-                for segment in peermod.split_message(message, parts):
-                    peermod.handle_sync(peers[event.dst], segment)
+                link = (event.src, event.dst)
+                queue = world.channels[link]
+                while queue:
+                    world.deliver(link)
                 messages_delivered += 1
-            elif isinstance(event, PartitionEvent):
-                link_up[_link_key(event.a, event.b)] = False
-            elif isinstance(event, HealEvent):
-                link_up[_link_key(event.a, event.b)] = True
+            elif isinstance(event, (PartitionEvent, HealEvent)):
+                world.link_up[_link_key(event.a, event.b)] = isinstance(
+                    event, HealEvent
+                )
             elif isinstance(event, ResolveEvent):
                 ops_applied += len(resolution.lww_resolve(peers[event.peer]))
             elif isinstance(event, PruneEvent):

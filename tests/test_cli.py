@@ -189,19 +189,21 @@ def test_fuzz_standard_run(capsys):
 def test_fuzz_rejects_single_peer(capsys):
     assert cli.main(["fuzz", "--peers", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "--peers must be at least 2\n"
+    assert captured.err == "--peers must be between 2 and 100\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("universe", ["0", "-3"])
 def test_fuzz_rejects_empty_universe(universe, capsys):
     assert cli.main(["fuzz", "--universe", universe]) == 2
-    assert capsys.readouterr().err == "--universe must be at least 1\n"
+    assert capsys.readouterr().err == "--universe must be between 1 and 1000000\n"
 
 
 FUZZ_LIMITS = {
+    "--peers": "between 2 and 100",
+    "--universe": "between 1 and 1000000",
     "--seeds": "at least 1",
-    "--ops": "at least 0",
+    "--ops": "between 0 and 10000",
     "--density": "between 0 and 1",
 }
 
@@ -212,6 +214,12 @@ FUZZ_LIMITS = {
         ("--seeds", "0"),
         ("--seeds", "-3"),
         ("--ops", "-3"),
+        # Sizes no seed could be built or run at, refused before any is.
+        ("--peers", "101"),
+        ("--peers", "20000"),
+        ("--ops", "10001"),
+        ("--universe", "1000001"),
+        ("--universe", "99999999999999999999"),
         ("--density", "-1"),
         ("--density", "7"),
         ("--density", "nan"),

@@ -3,9 +3,11 @@
 A peer counts an entry as held by a neighbor only when that neighbor's ack
 map covers it (`peer._element_tails`), and marks a payload handled only by
 merging the message's ack map (`peer.handle_sync`).  That is sound because of
-two facts, checked here after every call of a seeded driver that delivers,
-duplicates and drops messages and their segments in any order over trees of
-2-4 peers, with local ops and pruning in between:
+two facts, checked here after every move of a seeded schedule on a
+`sim.World` of 2-4 peers in a tree.  The schedule sends, delivers,
+duplicates and drops messages and their segments in any order, each one
+encoded and parsed back before it is delivered, with local ops and pruning
+in between:
 
 - every entry in a peer's log that a neighbor N originated is under the
   peer's `received_watermark` for N;
@@ -20,14 +22,8 @@ neighbor (`NeighborState.sent_ack`) are a prefix of the log.
 import random
 
 from ccss.core import DivergenceError, InvalidDelete, InvalidInsert
-from ccss.peer import (
-    handle_sync,
-    init_peer,
-    local_update,
-    prepare_sync,
-    prune_log,
-    split_message,
-)
+from ccss.peer import encode_sync_message, local_update, parse_sync_message, prune_log
+from ccss.sim import Scenario, World
 
 UNIVERSE = 4
 STEPS = 60
@@ -54,13 +50,9 @@ def drive(seed):
     rng = random.Random(seed)
     names = [f"P{i}" for i in range(rng.randint(2, 4))]
     links = [(names[rng.randrange(i)], names[i]) for i in range(1, len(names))]
-    adjacent = {name: [] for name in names}
-    for a, b in links:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
     initial = frozenset(x for x in range(UNIVERSE) if rng.random() < 0.5)
-    peers = {name: init_peer(name, initial, tuple(adjacent[name])) for name in names}
-    bags = {pair: [] for a, b in links for pair in ((a, b), (b, a))}
+    world = World(Scenario(tuple((n, initial) for n in names), tuple(links), ()))
+    peers, channels = world.peers, world.channels
     bitten = 0
 
     for step in range(STEPS):
@@ -72,21 +64,24 @@ def drive(seed):
                 rng.randrange(UNIVERSE),
             )
         elif move < 0.55:
-            src, dst = rng.choice(sorted(bags))
-            message = prepare_sync(peers[src], dst)
-            bags[src, dst].extend(split_message(message, rng.randint(1, 3)))
+            world.send(*rng.choice(sorted(channels)), rng.randint(1, 3))
         elif move < 0.9:
-            full = sorted(pair for pair, bag in bags.items() if bag)
+            full = sorted(link for link, queue in channels.items() if queue)
             if not full:
                 continue
-            bag = bags[rng.choice(full)]
-            index = rng.randrange(len(bag))
+            link = rng.choice(full)
+            queue = channels[link]
+            index = rng.randrange(len(queue))
             fate = rng.random()
             if fate < 0.15:
-                del bag[index]  # lost
+                del queue[index]  # lost
                 continue
-            # A duplicated message stays in the bag for a later delivery.
-            message = bag[index] if fate < 0.4 else bag.pop(index)
+            # Every delivered message crosses the wire.
+            message = queue[index] = parse_sync_message(
+                encode_sync_message(queue[index])
+            )
+            if fate < 0.4:
+                queue.insert(index, message)  # duplicated, for a later delivery
             receiver = peers[message.receiver]
             if any(
                 t.origin_seq > receiver.applied_seqs.get(t.origin, 0)
@@ -96,7 +91,7 @@ def drive(seed):
                 assert missed == [], (seed, step, message, missed)
                 bitten += any(e.origin == message.sender for e in receiver.log)
             try:
-                handle_sync(receiver, message)
+                world.deliver(link, index)
             except (InvalidInsert, InvalidDelete, DivergenceError):
                 return bitten
         else:

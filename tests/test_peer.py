@@ -33,7 +33,7 @@ from ccss.peer import (
     prune_log,
     split_message,
 )
-from ccss.sim import parse_scenario, reference_run, run_scenario
+from ccss.sim import World, parse_scenario, reference_run, run_scenario
 
 
 def make_pair(initial=frozenset({1, 2})):
@@ -757,10 +757,18 @@ def test_split_matches_the_rescanning_split_on_fixed_cases(entries, ack, parts):
     assert split_message(msg, parts) == _rescanning_split(msg, parts)
 
 
-def five_full_rounds(p, q):
+PQ, QP = ("P", "Q"), ("Q", "P")
+
+
+def empty_pair_world():
+    return World(parse_scenario("PEER P {}\nPEER Q {}\nLINK P Q\n"))
+
+
+def five_full_rounds(world):
     for _ in range(5):
-        exchange(p, q)
-        exchange(q, p)
+        for link in (PQ, QP):
+            world.send(*link)
+            world.deliver(link)
 
 
 @pytest.mark.xfail(
@@ -770,16 +778,18 @@ def five_full_rounds(p, q):
     "acknowledged (pipelining) diverges",
 )
 def test_pipelined_messages_converge():
-    p, q = make_pair(frozenset())
+    world = empty_pair_world()
+    p, q = world.peers["P"], world.peers["Q"]
     local_update(q, "insert", 1)
-    m1 = prepare_sync(q, "P")
+    world.send(*QP)
     local_update(q, "delete", 1)
-    m2 = prepare_sync(q, "P")
+    world.send(*QP)
     local_update(p, "insert", 1)
-    exchange(p, q)
-    handle_sync(p, m1)
-    handle_sync(p, m2)
-    five_full_rounds(p, q)
+    world.send(*PQ)
+    world.deliver(PQ)
+    world.deliver(QP)
+    world.deliver(QP)
+    five_full_rounds(world)
     # Today P holds set() and Q holds {1}, for ever.
     assert p.data == q.data
 
@@ -790,13 +800,14 @@ def test_pipelined_messages_converge():
     reason="ROADMAP item 5: segments handled out of order diverge",
 )
 def test_reordered_segments_converge():
-    p, q = make_pair(frozenset())
+    world = empty_pair_world()
+    p, q = world.peers["P"], world.peers["Q"]
     for x in (1, 2, 3, 4):
         local_update(p, "insert", x)
-    first, second = split_message(prepare_sync(p, "Q"), 2)
-    handle_sync(q, second)
-    handle_sync(q, first)
-    five_full_rounds(p, q)
+    world.send(*PQ, 2)
+    world.deliver(PQ, 1)
+    world.deliver(PQ)
+    five_full_rounds(world)
     # Today P holds {1,2,3,4} and Q holds {3,4}, for ever.
     assert p.data == q.data
 

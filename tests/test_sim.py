@@ -6,6 +6,7 @@ import pytest
 
 from ccss import sim
 from ccss.core import CcssError, Op, Triple
+from ccss.peer import local_update
 from ccss.sim import (
     _IntentClasses,
     CheckEvent,
@@ -17,6 +18,7 @@ from ccss.sim import (
     Scenario,
     ScenarioError,
     SyncEvent,
+    World,
     parse_scenario,
     random_workload,
     reference_run,
@@ -293,6 +295,59 @@ def test_segmented_delivery_keeps_outcomes():
     for max_segments in (2, 3, 4):
         split = run_scenario(sc, seed=3, max_segments=max_segments)
         assert split.final_states == whole.final_states
+
+
+# ---------------------------------------------------------------------------
+# The World: peers, one channel per directed link, send and deliver
+
+PQ = ("P", "Q")
+
+
+def pair_world(inserts=()):
+    world = World(parse_scenario("PEER P {}\nPEER Q {}\nLINK P Q\n"))
+    for x in inserts:
+        local_update(world.peers["P"], "insert", x)
+    return world
+
+
+def test_world_has_one_channel_per_directed_link():
+    world = World(
+        parse_scenario("PEER A {}\nPEER B {}\nPEER C {}\nLINK A B\nLINK C B\n")
+    )
+    assert sorted(world.channels) == [("A", "B"), ("B", "A"), ("B", "C"), ("C", "B")]
+    assert all(queue == [] for queue in world.channels.values())
+
+
+def test_send_on_a_partitioned_link_prepares_but_queues_nothing():
+    world = pair_world([1])
+    world.link_up[PQ] = False
+    assert world.peers["P"].neighbors["Q"].sent_ack == {}
+    assert world.send(*PQ) is False
+    assert world.channels[PQ] == []
+    # prepare_sync ran: P has told Q of its op, as far as P knows.
+    assert world.peers["P"].neighbors["Q"].sent_ack == {"P": 1}
+
+
+def test_send_queues_segments_in_order():
+    world = pair_world([1, 2, 3, 4])
+    assert world.send(*PQ, 3)
+    local_update(world.peers["P"], "insert", 5)
+    assert world.send(*PQ)
+    queue = world.channels[PQ]
+    assert len(queue) == 4
+    assert [t.origin_seq for m in queue[:3] for t in m.payload] == [1, 2, 3, 4]
+    assert [t.origin_seq for t in queue[3].payload] == [1, 2, 3, 4, 5]
+
+
+def test_deliver_takes_the_indexed_message():
+    world = pair_world([1, 2, 3, 4])
+    world.send(*PQ, 2)
+    first, second = world.channels[PQ]
+    world.deliver(PQ, 1)
+    assert world.channels[PQ] == [first]
+    assert world.peers["Q"].data == {t.op.element for t in second.payload}
+    world.deliver(PQ)
+    assert world.channels[PQ] == []
 
 
 # ---------------------------------------------------------------------------
