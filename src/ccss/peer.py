@@ -253,13 +253,16 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
     """Apply one sync message; returns the operations actually applied.
 
     Payload entries already covered by this peer's own coverage map are
-    skipped, so redelivery is harmless.  What remains is normalized first:
-    a surviving delete/reinsert pair nets to nothing here and must not be
-    matched against local operations.  The survivors are then rewritten
-    against the per-element net of local log entries the sender had not
-    seen; the entries whose op survives are applied and logged as received,
-    tags intact, ready to propagate onward; merging the ack map then covers
-    them.  Stale or empty messages are normal and return an empty tuple.  A
+    skipped, so redelivery is harmless.  What remains is normalized first
+    when the payload repeats an element: a surviving delete/reinsert pair
+    nets to nothing here and must not be matched against local operations.
+    The survivors are then rewritten against the per-element net of local
+    log entries the sender had not seen; when the ack map covers this peer's
+    coverage map, the sender has seen them all and the log is not scanned.
+    The entries whose op survives are applied and logged as received, tags
+    intact, ready to propagate onward; merging the ack map then covers them.
+    One pass over the payload both checks it and picks what is new here.
+    Stale or empty messages are normal and return an empty tuple.  A
     payload that no log could have produced raises ValueError naming the
     first bad entry: one outside its own ack map, one whose origin's seqs do
     not rise, a Nop, or one repeating the kind of the previous op on its
@@ -286,8 +289,11 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
             raise ValueError(f"bad peer id in ack map: {origin!r}")
     # A payload is a slice of a log: under its own ack map, each origin's
     # seqs rising, every op effectful, and each element's kinds alternating.
+    # The same pass collects the entries not yet handled here.
     last_seq: dict[PeerId, int] = {}
     last_kind: dict[Element, core.OpKind] = {}
+    pending: list[TaggedOp] = []
+    unwired: TaggedOp | None = None
     for t in msg.payload:
         origin, seq, op = t.origin, t.origin_seq, t.op
         if seq > msg.ack.get(origin, 0):
@@ -306,31 +312,36 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
             )
         last_seq[origin] = seq
         last_kind[op.element] = op.kind
-
-    pending = [
-        t for t in msg.payload if t.origin_seq > peer.applied_seqs.get(t.origin, 0)
-    ]
-    for t in pending:
-        if not is_wire_element(t.op.element):
-            shown = describe_element(t.op.element)
-            raise ValueError(f"element cannot cross the wire: {shown}")
+        if seq > peer.applied_seqs.get(origin, 0):
+            pending.append(t)
+            if unwired is None and not is_wire_element(op.element):
+                unwired = t
+    if unwired is not None:
+        shown = describe_element(unwired.op.element)
+        raise ValueError(f"element cannot cross the wire: {shown}")
 
     applied: list[Op] = []
     # An ack-only or fully redelivered message carries nothing new: only
     # its ack map is merged below, and the log is not scanned.
     if pending:
+        pending_ops = tuple(t.op for t in pending)
+        # Only ops sharing an element can cancel, and the check above refuses
+        # Nops, so a payload without a repeated element is its own normal form.
+        if len(last_kind) < len(msg.payload):
+            pending_ops = normalize(pending_ops)
         # The rewrite baseline: per element, the net news among local
         # entries whose intent the sender has not seen.  Twin-matched entries
         # count as seen; the sender holds the same intent under its own tag,
-        # so its later ops are not concurrent with them.
+        # so its later ops are not concurrent with them.  Every log entry is
+        # under applied_seqs, so an ack map covering that leaves no news.
         # transform_remote reads kinds per element, so any order serves.
-        tails = _element_tails(peer.log, msg.ack, state.known_entries)
         survivors: dict[Element, TaggedOp] = {}
-        for element, tail in tails.items():
-            if len(tail) % 2 == 1:
-                survivors[element] = peer.log[tail[-1]]
+        if any(s > msg.ack.get(o, 0) for o, s in peer.applied_seqs.items()):
+            tails = _element_tails(peer.log, msg.ack, state.known_entries)
+            for element, tail in tails.items():
+                if len(tail) % 2 == 1:
+                    survivors[element] = peer.log[tail[-1]]
         unseen_by_sender = tuple(t.op for t in survivors.values())
-        pending_ops = normalize(tuple(t.op for t in pending))
         rewritten = transform_remote(unseen_by_sender, pending_ops)
         # Normalized ops touch distinct elements, so each one can be checked
         # against the unchanged set before anything is mutated.
@@ -340,11 +351,11 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
 
         # A rewrite only ever yields Nop, so a survivor is tagged.op itself.
         for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
-            if not op.is_nop:
+            if op.kind is not _NOP:
                 peer.data ^= {op.element}
                 peer.log.append(tagged)
                 applied.append(op)
-            elif not norm_op.is_nop:
+            elif norm_op.kind is not _NOP:
                 # Struck out as a duplicate: the sender owns the same intent,
                 # so the matching local entry must never be sent back to it.
                 twin = survivors[norm_op.element]
@@ -359,10 +370,11 @@ def handle_sync(peer: PeerState, msg: SyncMessage) -> OpSeq:
             state.received_watermark[origin] = seq
     # Acknowledged entries leave the candidate pool by the ack map filter,
     # so the twin marks can forget them.
-    stale = {
-        k for k in state.known_entries if k[1] <= state.received_watermark.get(k[0], 0)
-    }
-    state.known_entries -= stale
+    if state.known_entries:
+        watermark = state.received_watermark
+        state.known_entries -= {
+            k for k in state.known_entries if k[1] <= watermark.get(k[0], 0)
+        }
     return tuple(applied)
 
 

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,15 +17,25 @@ from ccss.core import (
     InvalidDelete,
     InvalidInsert,
     Op,
+    OpKind,
     Triple,
+    describe_element,
+    ineffective,
+    is_valid,
+    is_wire_element,
+    normalize,
     parse_element_set,
+    render_element,
     render_element_set,
+    transform_remote,
 )
 from ccss.peer import (
+    _PEER_ID_RE,
     DuplicateNeighbor,
     SyncMessage,
     TaggedOp,
     UnknownNeighbor,
+    _element_tails,
     encode_sync_message,
     handle_sync,
     init_peer,
@@ -342,15 +354,21 @@ def test_handle_wrong_receiver_and_unknown_sender():
 @pytest.mark.parametrize(
     "bad,error",
     [
-        (TaggedOp(Op.insert(1), "Q", 3), InvalidInsert),
-        (TaggedOp(Op.delete(9), "Q", 3), InvalidDelete),
+        # Each case: the entry P cannot take, and the crafted ack map.
+        ((TaggedOp(Op.insert(1), "Q", 3), {"Q": 3}), InvalidInsert),
+        ((TaggedOp(Op.delete(9), "Q", 3), {"Q": 3}), InvalidDelete),
         # Applied, 1.5 would reach P's neighbours as the token '1.5'.
-        (TaggedOp(Op.insert(1.5), "Q", 3), ValueError),
+        ((TaggedOp(Op.insert(1.5), "Q", 3), {"Q": 3}), ValueError),
         # Merged, the origin would make P's next message a line no peer parses.
-        (TaggedOp(Op.insert(6), "a b", 1), ValueError),
+        ((TaggedOp(Op.insert(6), "a b", 1), {"Q": 3, "a b": 1}), ValueError),
+        # An ack map covering all P holds: P takes no rewrite baseline.
+        ((TaggedOp(Op.insert(1), "Q", 3), {"P": 1, "Q": 3}), InvalidInsert),
+        ((TaggedOp(Op.delete(9), "Q", 3), {"P": 1, "Q": 3}), InvalidDelete),
+        ((TaggedOp(Op.insert(1.5), "Q", 3), {"P": 1, "Q": 3}), ValueError),
     ],
 )
 def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
+    entry, ack = bad
     p, q = make_pair()
     local_update(p, "insert", 4)
     local_update(q, "insert", 5)
@@ -358,12 +376,7 @@ def test_failing_handle_sync_leaves_the_peer_unchanged(bad, error):
     prepare_sync(p, "Q")  # offered, not yet acknowledged
     before = copy.deepcopy((p.data, p.log, p.applied_seqs, p.neighbors))
     # Crafted: Q's first op is fine on its own, its second cannot be taken.
-    crafted = SyncMessage(
-        "Q",
-        "P",
-        (TaggedOp(Op.insert(3), "Q", 2), bad),
-        {"Q": 3, bad.origin: bad.origin_seq},
-    )
+    crafted = SyncMessage("Q", "P", (TaggedOp(Op.insert(3), "Q", 2), entry), ack)
     with pytest.raises(error):
         handle_sync(p, crafted)
     assert (p.data, p.log, p.applied_seqs, p.neighbors) == before
@@ -515,6 +528,252 @@ def test_relay_keeps_origin_tags():
     # R's acknowledgment of P's op travels back through Q.
     exchange(r, q)
     assert q.neighbors["R"].received_watermark.get("P") == 1
+
+
+def _multipass_handle_sync(peer, msg):
+    # handle_sync before its one-pass form: a second pass collects the pending
+    # entries, normalize always runs, the log is always scanned for the
+    # rewrite baseline, and the twin marks are always swept.
+    if msg.receiver != peer.id:
+        raise ValueError(f"message for {msg.receiver} handled by {peer.id}")
+    state = peer.neighbors.get(msg.sender)
+    if state is None:
+        raise UnknownNeighbor(f"{peer.id}: unknown neighbor {msg.sender}")
+    claimed = msg.ack.get(peer.id, 0)
+    if claimed > state.sent_ack.get(peer.id, 0):
+        raise ValueError(f"ack map claims {peer.id}:{claimed}, not yet sent")
+    for origin in msg.ack:
+        if origin not in peer.applied_seqs and not _PEER_ID_RE.fullmatch(origin):
+            raise ValueError(f"bad peer id in ack map: {origin!r}")
+    last_seq = {}
+    last_kind = {}
+    for t in msg.payload:
+        origin, seq, op = t.origin, t.origin_seq, t.op
+        if seq > msg.ack.get(origin, 0):
+            raise ValueError(f"entry {origin}:{seq} outruns the ack map")
+        prev = last_seq.get(origin, 0)
+        if seq <= prev:
+            raise ValueError(
+                f"entry {origin}:{seq} does not rise above {origin}:{prev}"
+            )
+        if op.kind is OpKind.NOP:
+            raise ValueError(f"entry {origin}:{seq} carries no operation")
+        if op.kind is last_kind.get(op.element):
+            raise ValueError(
+                f"entry {origin}:{seq} repeats the previous op "
+                f"on {render_element(op.element)}"
+            )
+        last_seq[origin] = seq
+        last_kind[op.element] = op.kind
+
+    pending = [
+        t for t in msg.payload if t.origin_seq > peer.applied_seqs.get(t.origin, 0)
+    ]
+    for t in pending:
+        if not is_wire_element(t.op.element):
+            shown = describe_element(t.op.element)
+            raise ValueError(f"element cannot cross the wire: {shown}")
+
+    applied = []
+    if pending:
+        tails = _element_tails(peer.log, msg.ack, state.known_entries)
+        survivors = {}
+        for element, tail in tails.items():
+            if len(tail) % 2 == 1:
+                survivors[element] = peer.log[tail[-1]]
+        unseen_by_sender = tuple(t.op for t in survivors.values())
+        pending_ops = normalize(tuple(t.op for t in pending))
+        rewritten = transform_remote(unseen_by_sender, pending_ops)
+        for op in rewritten:
+            if not is_valid(peer.data, op):
+                raise ineffective(op)
+        for tagged, norm_op, op in zip(pending, pending_ops, rewritten):
+            if not op.is_nop:
+                peer.data ^= {op.element}
+                peer.log.append(tagged)
+                applied.append(op)
+            elif not norm_op.is_nop:
+                twin = survivors[norm_op.element]
+                state.known_entries.add((twin.origin, twin.origin_seq))
+
+    for origin, seq in msg.ack.items():
+        if seq > peer.applied_seqs.get(origin, 0):
+            peer.applied_seqs[origin] = seq
+        if seq > state.received_watermark.get(origin, 0):
+            state.received_watermark[origin] = seq
+    stale = {
+        k for k in state.known_entries if k[1] <= state.received_watermark.get(k[0], 0)
+    }
+    state.known_entries -= stale
+    return tuple(applied)
+
+
+_ORIGINS = ["P", "Q", "R", "a b"]
+_SIGNS = {"+": Op.insert, "-": Op.delete, "!": lambda x: Op(OpKind.NOP)}
+
+
+def _toggle(peer, x):
+    local_update(peer, "delete" if x in peer.data else "insert", x)
+
+
+@st.composite
+def _sync_cases(draw):
+    """A receiver and a message for it, from a line of two or three peers.
+
+    Random updates, syncs, lost messages and prunes come first.  Then the
+    sender updates, may lose a message to the receiver and update again (so
+    a tail repeats verbatim, with repeated elements), the receiver updates
+    concurrently and may offer its coverage, and the receiver takes twin
+    marks.  The message is what the sender prepares, or that message with
+    entries of any kind added, one fresh entry from the sender appended,
+    another ack map, or a stray address.
+    """
+    names = "PQR"[: draw(st.sampled_from([2, 3]))]
+    links = [(a, b) for a, b in zip(names, names[1:])]
+    links += [(b, a) for a, b in links]
+    initial = frozenset(draw(st.sets(st.integers(0, 3))))
+    peers = {
+        x: init_peer(x, initial, tuple(dst for src, dst in links if src == x))
+        for x in names
+    }
+    elements = st.lists(st.integers(0, 3), max_size=3)
+    steps = st.one_of(
+        st.tuples(st.just("op"), st.sampled_from(names), st.integers(0, 3)),
+        st.tuples(st.sampled_from(["sync", "lose"]), st.sampled_from(links), st.none()),
+        st.tuples(st.just("prune"), st.sampled_from(names), st.none()),
+    )
+    for kind, at, x in draw(st.lists(steps, max_size=12)):
+        if kind == "op":
+            _toggle(peers[at], x)
+        elif kind == "prune":
+            prune_log(peers[at])
+        else:
+            msg = prepare_sync(peers[at[0]], at[1])
+            if kind == "sync":
+                handle_sync(peers[at[1]], msg)
+    sender, receiver = draw(st.sampled_from(links))
+    peer = peers[receiver]
+    for x in draw(elements):
+        _toggle(peers[sender], x)
+    if draw(st.booleans()):
+        prepare_sync(peers[sender], receiver)  # lost
+    for x in draw(elements):
+        _toggle(peers[sender], x)
+    for x in draw(elements):
+        _toggle(peer, x)
+    if draw(st.booleans()):
+        prepare_sync(peer, sender)  # offered, so an ack map may cover it all
+    tags = sorted((t.origin, t.origin_seq) for t in peer.log)
+    if tags:
+        marks = draw(st.lists(st.sampled_from(tags), max_size=3))
+        peer.neighbors[sender].known_entries.update(marks)
+
+    base = prepare_sync(peers[sender], receiver)
+    payload, ack = list(base.payload), dict(base.ack)
+    if draw(st.booleans()):  # covers all the receiver holds, if it offered
+        offered = peer.neighbors[sender].sent_ack
+        for origin, seq in peer.applied_seqs.items():
+            if origin == receiver:
+                seq = offered.get(origin, 0)
+            ack[origin] = max(ack.get(origin, 0), seq)
+    change = draw(
+        st.sampled_from(["none", "entries", "entries", "append", "ack", "address"])
+    )
+    if change == "entries":
+        # Seqs land around the ack map, so most entries are news here.
+        extra = st.tuples(
+            st.sampled_from([sender, *_ORIGINS]),
+            st.sampled_from([0, 1, 2, 3, 1.5]),
+            st.sampled_from("+-!"),
+            st.integers(-1, 2),
+        )
+        for origin, element, sign, step in draw(st.lists(extra, min_size=1, max_size=3)):
+            at = draw(st.integers(0, len(payload)))
+            seq = ack.get(origin, 0) + step
+            payload.insert(at, TaggedOp(_SIGNS[sign](element), origin, seq))
+            ack[origin] = max(ack.get(origin, 0), seq)
+    elif change == "append":
+        # Well formed but for its op, which may repeat, miss or not cross.
+        seq = ack.get(sender, 0) + 1
+        op = _SIGNS[draw(st.sampled_from("+-"))](draw(st.sampled_from([0, 1, 1.5])))
+        payload.append(TaggedOp(op, sender, seq))
+        ack[sender] = seq
+    elif change == "ack":
+        ack = draw(st.dictionaries(st.sampled_from(_ORIGINS), st.integers(0, 8)))
+    elif change == "address":
+        if draw(st.booleans()):
+            sender = "X"
+        else:
+            receiver = "X"
+    return peer, SyncMessage(sender, receiver, tuple(payload), ack)
+
+
+def _outcome(handle, peer, msg):
+    try:
+        return ("returned", handle(peer, msg))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_sync_cases())
+def test_handle_sync_matches_the_multipass_handle_sync(case):
+    peer, msg = case
+    ours, theirs = copy.deepcopy(peer), copy.deepcopy(peer)
+    outcome = _outcome(handle_sync, ours, msg)
+    assert outcome == _outcome(_multipass_handle_sync, theirs, msg)
+    assert ours == theirs
+    if outcome[0] == "raised":
+        assert ours == peer
+
+
+def _line_events(call):
+    """Python line events while `call()` runs, in every frame it enters.
+
+    The collector is held off while counting: a collection inside the call
+    would run the finalizers of earlier tests' garbage and count their lines.
+    """
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return tracer
+
+    saved = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(saved)
+        if collecting:
+            gc.enable()
+    return count
+
+
+def _covered_sync_line_events(log_len):
+    # P's log toggles ten elements; Q's ack map covers all of it, and Q
+    # brings eight inserts P does not hold.
+    p = init_peer("P", frozenset(), ("Q",))
+    for i in range(log_len):
+        x = i % 10
+        local_update(p, "delete" if x in p.data else "insert", x)
+    prepare_sync(p, "Q")  # offered, so Q may acknowledge all of it
+    payload = tuple(TaggedOp(Op.insert(100 + s), "Q", s) for s in range(1, 9))
+    msg = SyncMessage("Q", "P", payload, {"P": log_len, "Q": 8})
+    events = _line_events(lambda: handle_sync(p, msg))
+    assert len(p.log) == log_len + 8
+    return events
+
+
+def test_a_covered_sync_costs_the_same_at_any_log_length():
+    # A count of interpreted lines does not depend on the host's speed: a
+    # sync whose ack map covers the receiver costs what it carries, whatever
+    # history the receiver's log holds.
+    assert _covered_sync_line_events(500) == _covered_sync_line_events(5000)
 
 
 # ---------------------------------------------------------------------------
