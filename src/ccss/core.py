@@ -90,6 +90,19 @@ NOP = Op(_NOP)
 
 OpSeq = tuple[Op, ...]
 
+_set_kind, _set_element = Op.kind.__set__, Op.element.__set__
+
+
+def _trusted_op(kind: OpKind, element: Element) -> Op:
+    """`Op(kind, element)` for an insert or delete a parser has already checked.
+
+    The slots are written through their descriptors, so neither the frozen
+    `__init__` nor `__post_init__` runs; the record is equal all the same.
+    Each `__set__` returns None, so the `or` chain makes every write and
+    yields the record in one line: a decode calls this once per entry.
+    """
+    return _set_kind(op := object.__new__(Op), kind) or _set_element(op, element) or op
+
 
 @dataclass(frozen=True)
 class Triple:

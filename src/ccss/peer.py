@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import starmap
 
 from . import core
 from .core import (
@@ -39,7 +40,9 @@ from .core import (
     Element,
     Op,
     OpSeq,
+    _KIND_OF_SIGN,
     _NOP,
+    _trusted_op,
     describe_element,
     ineffective,
     is_valid,
@@ -61,6 +64,15 @@ _PEER_ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _TAG_RE = re.compile(rf"({_PEER_ID_RE.pattern}):([0-9]+)")
 # A message line: four space-free fields after "MSG", in this order.
 _MSG_RE = re.compile(r"MSG from=([^ ]*) to=([^ ]*) ack=([^ ]*) ops=([^ ]*)")
+# A payload item whose element is an int in ASCII digits: its sign, element,
+# origin and seq, each already in the form the general path would accept.
+_INT_ITEM_RE = re.compile(rf"([+-])(-?[0-9]+)@{_TAG_RE.pattern}")
+# An ops list of nothing but such items (groups dropped: they slow the match).
+# The whole list must match before `_INT_ITEM_RE.findall` reads it: the
+# token `5@P:1` rides as `+5@P:1@Q:2`, whose prefix reads as the int 5.
+_INT_OPS_RE = re.compile(
+    r"\[(?:{0}(?:,{0})*)?\]".format(_INT_ITEM_RE.pattern.replace("(", "(?:"))
+)
 
 
 class DuplicateNeighbor(CcssError):
@@ -105,6 +117,23 @@ class TaggedOp:
     op: Op
     origin: PeerId
     origin_seq: int
+
+
+_set_op, _set_origin, _set_seq = (
+    TaggedOp.op.__set__,
+    TaggedOp.origin.__set__,
+    TaggedOp.origin_seq.__set__,
+)
+
+
+def _trusted_tagged(op: Op, origin: PeerId, origin_seq: int) -> TaggedOp:
+    """`TaggedOp(op, origin, origin_seq)` for fields a parser has already checked.
+
+    Built as `core._trusted_op` builds an `Op`: through the slot descriptors,
+    skipping the frozen `__init__`; the record is equal all the same.
+    """
+    t = object.__new__(TaggedOp)
+    return _set_op(t, op) or _set_origin(t, origin) or _set_seq(t, origin_seq) or t
 
 
 @dataclass(frozen=True)
@@ -464,7 +493,11 @@ def parse_sync_message(line: str) -> SyncMessage:
 
     `from`, `to`, ack origins and payload tags must be peer ids (as
     `init_peer` requires), so whatever a relay logs re-encodes to a line
-    that parses.  Decoding is linear in the number of payload entries.
+    that parses.  Decoding is linear in the number of payload entries.  An
+    ops list whose every item is `<sign><int>@<peer id>:<seq>` in ASCII
+    digits, with no whitespace (what the encoder writes for int elements),
+    is read by one regex; any other list goes item by item through
+    `core.parse_element`, the grammar's one definition, with equal results.
     """
     match = _MSG_RE.fullmatch(line.strip())
     if match is None:
@@ -485,12 +518,22 @@ def parse_sync_message(line: str) -> SyncMessage:
                 raise ValueError(f"ack map names {origin} twice")
             ack[origin] = int(seq)
 
+    if _INT_OPS_RE.fullmatch(ops_text):
+        payload = starmap(_parse_int_item, _INT_ITEM_RE.findall(ops_text))
+    else:
+        payload = parse_list(ops_text, "[]", _parse_tagged, "ops list")
     return SyncMessage(
-        sender=sender,
-        receiver=receiver,
-        payload=tuple(parse_list(ops_text, "[]", _parse_tagged, "ops list")),
-        ack=ack,
+        sender=sender, receiver=receiver, payload=tuple(payload), ack=ack
     )
+
+
+def _parse_int_item(sign: str, x: str, origin: str, seq: str) -> TaggedOp:
+    """The groups of one `_INT_ITEM_RE` match, which checked them all.
+
+    The element is read before the seq, as `_parse_tagged` reads them, so an
+    int too long for `int()` is refused with the same error at the same item.
+    """
+    return _trusted_tagged(_trusted_op(_KIND_OF_SIGN[sign], int(x)), origin, int(seq))
 
 
 def _parse_tagged(item: str) -> TaggedOp:

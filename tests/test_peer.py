@@ -25,6 +25,7 @@ from ccss.core import (
     is_wire_element,
     normalize,
     parse_element_set,
+    parse_list,
     render_element,
     render_element_set,
     transform_remote,
@@ -36,6 +37,7 @@ from ccss.peer import (
     TaggedOp,
     UnknownNeighbor,
     _element_tails,
+    _parse_tagged,
     encode_sync_message,
     handle_sync,
     init_peer,
@@ -492,12 +494,20 @@ def test_a_prepared_message_shares_no_dict_with_its_sender():
     assert a.data == b.data == {1}
 
 
+# Built by the decoder through the slot descriptors, not the constructor.
+_DECODED = parse_sync_message("MSG from=P to=Q ack=P:3 ops=[+5@P:3]").payload[0]
+
+
 @pytest.mark.parametrize(
-    "record", [Op.insert(5), Op.delete("a"), TaggedOp(Op.insert(5), "P", 3)]
+    "record",
+    [Op.insert(5), Op.delete("a"), TaggedOp(Op.insert(5), "P", 3)]
+    + [_DECODED.op, _DECODED],
+    ids=["insert", "delete", "tagged", "decoded-op", "decoded-tagged"],
 )
 def test_records_are_slotted_and_frozen(record):
     assert not hasattr(record, "__dict__")
-    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+    built = dataclasses.replace(record)  # through __init__ and __post_init__
+    for twin in (built, pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert twin == record and hash(twin) == hash(record)
     field = dataclasses.fields(record)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1164,3 +1174,126 @@ def test_relayed_entries_re_encode_to_lines_that_parse(origin):
     relayed = prepare_sync(q, "R")
     assert len(relayed.payload) == 2
     assert parse_sync_message(encode_sync_message(relayed)) == relayed
+
+
+def _read_by_items(ops_text):
+    return parse_list(ops_text, "[]", _parse_tagged, "ops list")
+
+
+def _read_in_a_line(ops_text):
+    return parse_sync_message(f"MSG from=P to=Q ack= ops={ops_text}").payload
+
+
+def _read_outcome(read, ops_text):
+    try:
+        return ("read", tuple(read(ops_text)))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+# Parts near the one-regex read's edges.  An element of 5000 digits and a seq
+# of 4400 both exceed int()'s digit limit with different texts, so the two
+# reads must refuse the same part of the same item first.
+_LONG_ELEMENT, _LONG_SEQ = "7" * 5000, "9" * 4400
+_INTS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["007", "-0", "-007", "00"]),
+)
+_SEQS = st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["007", "00"]))
+_PEER_IDS = st.sampled_from(["P", "Q", "b-1.x_"])
+# What the encoder writes for an int element, give or take leading zeros.
+_INT_ITEMS = st.builds(
+    "{}{}@{}:{}".format, st.sampled_from("+-"), _INTS, _PEER_IDS, _SEQS
+)
+_ODD_ITEMS = st.one_of(
+    st.builds(
+        "{}{}@{}:{}".format,
+        st.sampled_from(["+-", "--", "-+", "++", "", "!"]),
+        _INTS,
+        _PEER_IDS,
+        _SEQS,
+    ),
+    st.builds(
+        "+{}@{}:{}".format,
+        st.sampled_from(
+            ["\u0663", "5@P:1", "a", "(1,a,2)", "\t7", "7\t", "", "-", "3.5"]
+            + [_LONG_ELEMENT, "-" + _LONG_ELEMENT]
+        ),
+        st.sampled_from(["P", "b)", "", "P\t"]),
+        st.sampled_from(["1", "\u0663", "", "-1", "1\t", _LONG_SEQ]),
+    ),
+    st.sampled_from(["!", "+5@P:1@Q:2", "+5", "", "\t+1@P:1"]),
+)
+
+
+# Most draws keep the int items as they are, so they take the one-regex read.
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(_INT_ITEMS, max_size=5),
+    st.sampled_from(["none", "none", "none", "item", "before", "after"]),
+    _ODD_ITEMS,
+    st.integers(0, 5),
+    st.sampled_from(["\t", "[", "]", ","]),
+)
+def test_int_ops_read_matches_the_item_by_item_read(items, odd, item, at, edge):
+    """Whichever list takes the one-regex read decodes as `core` reads it."""
+    if odd == "item":
+        items.insert(at, item)
+    inner = ",".join(items)
+    ops_text = f"[{edge * (odd == 'before')}{inner}{edge * (odd == 'after')}]"
+    assert _read_outcome(_read_in_a_line, ops_text) == _read_outcome(
+        _read_by_items, ops_text
+    )
+
+
+@pytest.mark.parametrize(
+    "ops_text",
+    [
+        "[]",
+        "[+1@P:1,-007@Q:2,+-5@P:3,--5@b-1.x_:4,+-0@P:005]",
+        # A token whose prefix is an int item: the whole list must match.
+        "[+5@P:1@Q:2]",
+        "[+1@P:1,+5@P:1@Q:2]",
+        "[+1@P:1,!,-2@P:2]",
+        "[+(1,a,2)@P:1,+1@P:2]",
+        "[+1@P:1,]",
+        "[+1@P:1]]",
+        "[+1@P:1,\t-2@P:2]",
+        "[+\u0663@P:1]",
+        f"[+1@P:1,+{_LONG_ELEMENT}@P:{_LONG_SEQ}]",
+        f"[+1@P:{_LONG_SEQ},+{_LONG_ELEMENT}@P:2]",
+    ],
+    ids=[
+        "empty", "canonical", "token", "token-after-int", "nop", "triple",
+        "trailing-comma", "stray-bracket", "tab", "arabic-indic-digit",
+        "long-element-first", "long-seq-first",
+    ],
+)
+def test_int_ops_read_matches_the_item_by_item_read_on_fixed_cases(ops_text):
+    assert _read_outcome(_read_in_a_line, ops_text) == _read_outcome(
+        _read_by_items, ops_text
+    )
+
+
+def test_elements_in_other_scripts_digits_still_read_as_ints():
+    # `core.parse_element` reads any script's digits, as `int()` does.
+    payload = _read_in_a_line("[+\u0663@P:1]")
+    assert payload == (TaggedOp(Op.insert(3), "P", 1),)
+    assert type(payload[0].op.element) is int
+
+
+def _decode_line_events(entries):
+    items = ",".join(
+        f"{'+-'[s % 2]}{s * 7919 % 10007 - 5000}@{'PQ'[s % 2]}:{s}"
+        for s in range(1, entries + 1)
+    )
+    line = f"MSG from=P to=Q ack=P:{entries},Q:{entries} ops=[{items}]"
+    return _line_events(lambda: parse_sync_message(line))
+
+
+def test_decoding_a_canonical_payload_costs_a_few_lines_per_entry():
+    # Interpreted lines per entry, above what an empty ops list costs: the
+    # same at both sizes, and a handful, since the regex reads the text.
+    empty = _decode_line_events(0)
+    per_entry = {n: (_decode_line_events(n) - empty) / n for n in (100, 1000)}
+    assert per_entry[100] == per_entry[1000] <= 4
