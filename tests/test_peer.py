@@ -502,7 +502,6 @@ _DECODED = parse_sync_message("MSG from=P to=Q ack=P:3 ops=[+5@P:3]").payload[0]
     "record",
     [Op.insert(5), Op.delete("a"), TaggedOp(Op.insert(5), "P", 3)]
     + [_DECODED.op, _DECODED],
-    ids=["insert", "delete", "tagged", "decoded-op", "decoded-tagged"],
 )
 def test_records_are_slotted_and_frozen(record):
     assert not hasattr(record, "__dict__")
