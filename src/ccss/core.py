@@ -210,23 +210,22 @@ def normalize(seq: Sequence[Op]) -> OpSeq:
     """Replace mutually canceling operations with Nop, preserving length.
 
     A valid sequence touches each element with strictly alternating kinds, so
-    an even number of operations on one element has no net effect (all become
-    Nop) and an odd number nets out to a single operation.  The survivor is
-    placed at the last position that touched the element; for alternating
-    kinds it equals the first operation, and every other element's membership
-    is unaffected by the move.  The result touches each element at most once.
+    the ops on one element cancel in consecutive pairs: a pair becomes two
+    Nops when its second op arrives.  An even number of operations on one
+    element thus has no net effect, and an odd number leaves its last
+    operation standing; for alternating kinds that equals the first, and
+    every other element's membership is unaffected by the move.  The result
+    touches each element at most once.
     """
-    if len(seq) < 2:
-        return tuple(seq)
     ops = list(seq)
-    positions: dict[Element, list[int]] = {}
+    waiting: dict[Element, int] = {}  # element -> position of its unpaired op
     for i, op in enumerate(ops):
-        if not op.is_nop:
-            positions.setdefault(op.element, []).append(i)
-    for occurrences in positions.values():
-        cut = len(occurrences) if len(occurrences) % 2 == 0 else len(occurrences) - 1
-        for i in occurrences[:cut]:
-            ops[i] = NOP
+        if op.kind is not _NOP:
+            j = waiting.pop(op.element, None)
+            if j is None:
+                waiting[op.element] = i
+            else:
+                ops[i] = ops[j] = NOP
     return tuple(ops)
 
 

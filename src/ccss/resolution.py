@@ -45,11 +45,8 @@ def lww_resolve(peer: PeerState) -> OpSeq:
 
     issued: list[Op] = []
     for triples in by_key.values():
-        if len(triples) < 2:
-            continue
         triples.sort(key=_newness)
         for loser in triples[:-1]:
-            op = local_update(peer, "delete", loser)
-            if op is not None:
-                issued.append(op)
+            # A loser is a member, so its delete is always effectful.
+            issued.append(local_update(peer, "delete", loser))
     return tuple(issued)

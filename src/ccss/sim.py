@@ -543,8 +543,8 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
     def issue(mirror: _MirrorPeer, name: str, op: Op) -> None:
         mirror.issued += 1
         tag = (name, mirror.issued)
-        if not core.is_valid(mirror.data, op):
-            raise core.ineffective(op)
+        # Every op issued is made from mirror.data or deletes one of its
+        # members, so it is effectful and the toggle applies it.
         mirror.data ^= {op.element}
         mirror.history.append((op, tag))
         mirror.known.add(tag)
@@ -620,8 +620,6 @@ def reference_run(scenario: Scenario) -> dict[str, frozenset]:
                 if isinstance(member, Triple):
                     by_key.setdefault(member.key, []).append(member)
             for triples in by_key.values():
-                if len(triples) < 2:
-                    continue
                 triples.sort(key=lambda t: (t.stamp, render_element(t.value)))
                 for loser in triples[:-1]:
                     issue(mirror, event.peer, Op.delete(loser))

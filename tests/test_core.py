@@ -170,6 +170,42 @@ def test_normalize_empty_and_nop_only():
     assert normalize((NOP, NOP)) == (NOP, NOP)
 
 
+def _normal_form(seq):
+    """Per element, an odd count of non-Nop ops keeps the last of them and
+    every other op on the element becomes Nop; Nops stay where they are."""
+    out = []
+    for i, op in enumerate(seq):
+        if op.is_nop:
+            out.append(op)
+            continue
+        x = op.element
+        on_x = [j for j, o in enumerate(seq) if not o.is_nop and o.element == x]
+        out.append(op if len(on_x) % 2 == 1 and on_x[-1] == i else NOP)
+    return tuple(out)
+
+
+_any_op = st.one_of(
+    st.just(NOP),
+    st.builds(Op.insert, st.integers(0, 3)),
+    st.builds(Op.delete, st.integers(0, 3)),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(_any_op, max_size=12).map(tuple))
+@example(())
+@example((NOP,))
+@example((Op.insert(1),))
+@example((Op.insert(1), Op.insert(1)))
+@example((Op.insert(1), Op.delete(1), Op.insert(1)))
+@example(  # two elements interleaved with Nops
+    (Op.insert(1), NOP, Op.delete(2), Op.delete(1), NOP, Op.insert(2), Op.insert(1))
+)
+def test_normalize_matches_its_spec_on_any_op_list(seq):
+    # Valid or not: kinds need not alternate, and any element may repeat.
+    assert normalize(seq) == _normal_form(seq)
+
+
 # ---------------------------------------------------------------------------
 # Transforms
 
@@ -234,6 +270,9 @@ def test_render_and_parse_ops():
     assert render_op(Op.insert(3)) == "+3"
     assert render_op(Op.delete(2)) == "-2"
     assert render_op(NOP) == "!"
+    assert str(Op.insert(5)) == "+5"
+    assert str(NOP) == "!"
+    assert str(Op.delete(Triple("a", "k", 1))) == "-(a,k,1)"
     for text in ("+3", "-2", "!", "+abc"):
         assert render_op(parse_op(text)) == text
     with pytest.raises(ValueError):
